@@ -15,8 +15,8 @@
 //
 // With -shards host:port,... the hub's partition substrate is served
 // from that many gpnm-shard worker processes (the §V partitions split
-// round-robin, the bridge overlay staying in this process as the
-// coordination layer); the HTTP API is unchanged. A worker lost
+// round-robin, the data graph and every ball row staying in this
+// process as the coordination layer); the HTTP API is unchanged. A worker lost
 // mid-run is handled by failover, not death: the coordinator rebuilds
 // the lost partitions from its own subgraph mirrors on the surviving
 // workers — or on a standby from -spare-shards — replays the in-flight
@@ -68,7 +68,7 @@ func main() {
 	workers := flag.Int("workers", 0, "substrate + fan-out worker bound (0 = all cores)")
 	shards := flag.String("shards", "", "comma-separated gpnm-shard worker addresses (host:port,...); empty = in-process substrate")
 	spareShards := flag.String("spare-shards", "", "standby gpnm-shard workers promoted on shard loss (host:port,...)")
-	failoverRetries := flag.Int("failover-retries", 1, "shard losses absorbed per engine operation (batch phase group, register query) via failover before the hub poisons itself (0 = poison on first loss)")
+	failoverRetries := flag.Int("failover-retries", 1, "shard losses absorbed per engine operation (batch phase group, horizon widening) via failover before the hub poisons itself (0 = poison on first loss)")
 	opChunk := flag.Int("op-chunk", 0, "op-stream chunk size for sharded substrates: structural ops flush to the workers in fenced chunks of this size while the batch is still staging (0 = engine default, negative = one end-of-phase flush)")
 	pipelined := flag.Bool("pipeline", false, "overlap consecutive batches: a queued batch's pre-state balls are computed while its predecessor is still amending patterns (results identical; lower latency under back-to-back load)")
 	healthSweep := flag.Duration("health-sweep", 0, "probe the shard fleet at this interval while idle, repairing workers that died between batches off the critical path (0 = off; only with -shards)")

@@ -461,6 +461,15 @@ func TestValidationCodes(t *testing.T) {
 		{"unknown update op", func() *http.Response {
 			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "+x"}}})
 		}, http.StatusBadRequest, CodeBadBatch},
+		{"edge to an unallocated node", func() *http.Response {
+			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "+e", From: 0, To: 999999}}})
+		}, http.StatusBadRequest, CodeBadBatch},
+		{"edge delete between unallocated nodes", func() *http.Response {
+			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "-e", From: 5, To: 7}}})
+		}, http.StatusBadRequest, CodeBadBatch},
+		{"delete of an unallocated node", func() *http.Response {
+			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "-n", Node: 424242}}})
+		}, http.StatusBadRequest, CodeBadBatch},
 		{"unknown pattern in apply", func() *http.Response {
 			return post(t, ts.URL+"/v1/apply", ApplyRequest{Patterns: map[string][]Update{"99": {{Op: "-pe", From: 0, To: 1}}}})
 		}, http.StatusNotFound, CodeUnknownPattern},

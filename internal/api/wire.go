@@ -334,11 +334,9 @@ type BatchStatsBody struct {
 	Woken         int  `json:"woken"`
 	Skipped       int  `json:"skipped"`
 	IndexBypassed bool `json:"index_bypassed,omitempty"`
-	// Sharded read-plane traffic of this batch (all zero in-process):
-	// RPCs issued, rows bulk-installed, rows fetched one at a time.
-	RPCCalls       uint64 `json:"rpc_calls,omitempty"`
-	RowsPrefetched uint64 `json:"rows_prefetched,omitempty"`
-	RowsMissed     uint64 `json:"rows_missed,omitempty"`
+	// RPCCalls counts the shard RPCs this batch issued (zero
+	// in-process).
+	RPCCalls uint64 `json:"rpc_calls,omitempty"`
 	// AmendWorkers is the per-pass amendment fan width the batch ran
 	// with (1 = sequential drain); Overlapped flags batches whose phase 1
 	// ran overlapped with the previous batch's fan (pipelined mode).
@@ -363,8 +361,6 @@ func EncodeBatchStats(st hub.BatchStats) BatchStatsBody {
 		Skipped:        st.Skipped,
 		IndexBypassed:  st.IndexBypassed,
 		RPCCalls:       st.RPCCalls,
-		RowsPrefetched: st.RowsPrefetched,
-		RowsMissed:     st.RowsMissed,
 		AmendWorkers:   st.AmendWorkers,
 		Overlapped:     st.Overlapped,
 	}
@@ -373,22 +369,20 @@ func EncodeBatchStats(st hub.BatchStats) BatchStatsBody {
 // Decode converts the wire stats back to hub.BatchStats.
 func (b BatchStatsBody) Decode() hub.BatchStats {
 	return hub.BatchStats{
-		Seq:            b.Seq,
-		DataUpdates:    b.DataUpdates,
-		Patterns:       b.Patterns,
-		SLenSync:       time.Duration(b.SLenSyncMillis * float64(time.Millisecond)),
-		SLenSyncs:      b.SLenSyncs,
-		FanOut:         time.Duration(b.FanOutMillis * float64(time.Millisecond)),
-		Duration:       time.Duration(b.DurationMillis * float64(time.Millisecond)),
-		Recovered:      b.Recovered,
-		Woken:          b.Woken,
-		Skipped:        b.Skipped,
-		IndexBypassed:  b.IndexBypassed,
-		RPCCalls:       b.RPCCalls,
-		RowsPrefetched: b.RowsPrefetched,
-		RowsMissed:     b.RowsMissed,
-		AmendWorkers:   b.AmendWorkers,
-		Overlapped:     b.Overlapped,
+		Seq:           b.Seq,
+		DataUpdates:   b.DataUpdates,
+		Patterns:      b.Patterns,
+		SLenSync:      time.Duration(b.SLenSyncMillis * float64(time.Millisecond)),
+		SLenSyncs:     b.SLenSyncs,
+		FanOut:        time.Duration(b.FanOutMillis * float64(time.Millisecond)),
+		Duration:      time.Duration(b.DurationMillis * float64(time.Millisecond)),
+		Recovered:     b.Recovered,
+		Woken:         b.Woken,
+		Skipped:       b.Skipped,
+		IndexBypassed: b.IndexBypassed,
+		RPCCalls:      b.RPCCalls,
+		AmendWorkers:  b.AmendWorkers,
+		Overlapped:    b.Overlapped,
 	}
 }
 

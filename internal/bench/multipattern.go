@@ -56,23 +56,15 @@ type MultiPatternSide struct {
 	// Phases is the per-phase wall-time breakdown (seconds summed over
 	// the run's batches), read from the telemetry registry's
 	// gpnm_batch_phase_seconds histograms rather than ad-hoc timers —
-	// substrate phases (pre_balls, oplog_flush, overlay_sync,
-	// post_balls, row_plan, row_prefetch), hub phases (slen_sync,
-	// wake_plan, amend_fan), and any recovery spans. Hub side only.
+	// substrate phases (pre_balls, oplog_flush, oplog_join,
+	// post_balls, row_prefetch), hub phases (slen_sync, wake_plan,
+	// amend_fan), and any recovery spans. Hub side only.
 	Phases map[string]float64 `json:"phase_seconds,omitempty"`
 	// RPCCalls is the per-endpoint count of coordinator→worker RPCs over
-	// the whole run (gpnm_rpc_seconds observation counts) — the
-	// scorecard for the batched read plane: /row is the per-row miss
-	// path the planner exists to starve, /rows the bulk path that
-	// replaces it. Sharded hub runs only.
+	// the whole run (gpnm_rpc_seconds observation counts): /ops for the
+	// op stream, /affected for the batch's conservative balls. Sharded
+	// hub runs only.
 	RPCCalls map[string]uint64 `json:"rpc_calls,omitempty"`
-	// RowsPlanned / RowsPrefetched / RowsMissed summarise the row plane:
-	// rows the demand planner derived, rows installed client-side by the
-	// bulk paths (/rows + the /ops warm piggyback), and rows that still
-	// fell through to singleton /row fetches. Sharded hub runs only.
-	RowsPlanned    uint64 `json:"rows_planned,omitempty"`
-	RowsPrefetched uint64 `json:"rows_prefetched,omitempty"`
-	RowsMissed     uint64 `json:"rows_missed,omitempty"`
 }
 
 // MultiPatternResult is the measured comparison.
@@ -180,9 +172,6 @@ func RunMultiPattern(cfg MultiPatternConfig) MultiPatternResult {
 	res.Hub.Phases = reg.HistogramSums("gpnm_batch_phase_seconds")
 	if len(cfg.Shards) > 0 {
 		res.Hub.RPCCalls = reg.HistogramCounts("gpnm_rpc_seconds")
-		res.Hub.RowsPlanned = reg.Counter("gpnm_rows_planned_total").Value()
-		res.Hub.RowsPrefetched = reg.Counter("gpnm_rpc_rows_prefetched_total").Value()
-		res.Hub.RowsMissed = reg.Counter("gpnm_rpc_rows_missed_total").Value()
 	}
 
 	// N independent UA-GPNM sessions, N substrates.
@@ -262,8 +251,7 @@ func (r MultiPatternResult) String() string {
 		for _, name := range names {
 			fmt.Fprintf(&sb, "  %s=%d", name, r.Hub.RPCCalls[name])
 		}
-		fmt.Fprintf(&sb, "  (rows planned=%d prefetched=%d missed=%d)\n",
-			r.Hub.RowsPlanned, r.Hub.RowsPrefetched, r.Hub.RowsMissed)
+		sb.WriteString("\n")
 	}
 	fmt.Fprintf(&sb, "SLen work ratio (hub/sessions): %.3f by syncs, %.3f by time",
 		r.SLenSyncRatio, r.SLenTimeRatio)

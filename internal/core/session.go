@@ -82,8 +82,8 @@ type Config struct {
 	DenseThreshold int
 	ELLWidth       int
 	// Workers bounds the engine's internal worker pool. For UA-GPNM it
-	// fans per-partition builds, overlay Dijkstras, batch affected-set
-	// balls and row prefetch across up to Workers goroutines; for the
+	// fans per-partition builds, batch affected-set balls and row
+	// prefetch across up to Workers goroutines; for the
 	// global-SLen methods it bounds the parallel matrix build. 0 selects
 	// GOMAXPROCS for UA-GPNM and the build default otherwise; 1 runs
 	// fully serial (the baseline configuration UA-GPNM-NoPar and the
@@ -92,9 +92,10 @@ type Config struct {
 	// ShardAddrs, when non-empty, serves the UA-GPNM partition engine's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
 	// processes at these host:port addresses) instead of in-process: the
-	// coordinator keeps the bridge overlay, stitching and caches, and
-	// fans intra builds, row queries and batch affected-ball phases
-	// across the workers. Ignored by the global-SLen methods.
+	// coordinator keeps the data graph and answers every ball row
+	// itself, and fans intra builds, the op stream and batch
+	// affected-ball phases across the workers. Ignored by the
+	// global-SLen methods.
 	ShardAddrs []string
 	// SpareShardAddrs are standby workers held for failover: when a
 	// serving shard is lost, the next live spare is promoted into its
@@ -132,7 +133,7 @@ type QueryStats struct {
 	Eliminated     int // |Ue| of the paper's complexity analysis
 	SeedNodes      int // seed set size of the final amendment
 	// SLenSync is the wall time of the SLen substrate synchronisation
-	// (structural application + overlay/matrix maintenance + change-log
+	// (structural application + intra/matrix maintenance + change-log
 	// assembly); SLenSyncs counts the data updates synchronised into the
 	// substrate. Together they expose the maintenance cost the
 	// standing-query hub amortises across patterns (internal/hub): n
@@ -167,23 +168,8 @@ func NewSession(g *graph.Graph, p *pattern.Graph, cfg Config) *Session {
 	s := &Session{Method: cfg.Method, G: g, P: p, cfg: cfg}
 	s.Engine = s.newEngine(g)
 	s.Engine.Build()
-	s.readFailover(func() { s.Match = simulation.Run(p, g, s.Engine) })
+	s.Match = simulation.Run(p, g, s.Engine)
 	return s
-}
-
-// readFailover runs a read-only engine fan under the sharded
-// substrate's failover protection (a no-op passthrough for in-process
-// engines): a shard worker lost between batches surfaces on the next
-// read, and this turns it into a rebuild-and-retry instead of a fatal
-// loss. Sessions are single-goroutine, so the exclusive-reader
-// contract of partition.Engine.WithReadFailover holds trivially; every
-// fn passed here overwrites its outputs wholesale.
-func (s *Session) readFailover(fn func()) {
-	if pe, ok := s.Engine.(*partition.Engine); ok {
-		pe.WithReadFailover(fn)
-		return
-	}
-	fn()
 }
 
 // NewSessionWith wraps a pre-built engine (Build()-consistent with g)
@@ -197,7 +183,7 @@ func NewSessionWith(g *graph.Graph, p *pattern.Graph, eng shortest.DistanceEngin
 		eng.EnsureHorizon(cfg.Horizon)
 	}
 	s := &Session{Method: cfg.Method, G: g, P: p, Engine: eng, cfg: cfg}
-	s.readFailover(func() { s.Match = simulation.Run(p, g, eng) })
+	s.Match = simulation.Run(p, g, eng)
 	return s
 }
 

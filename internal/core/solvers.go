@@ -114,16 +114,12 @@ func (s *Session) runEH(b updates.Batch) {
 // uneliminated (root) sets plus the batch change log. With Method ==
 // UAGPNM the session's engine is the label-partitioned one (§V).
 func (s *Session) runUA(b updates.Batch) {
-	// DER-I on the pre-update state. Like every read fan below, it runs
-	// under the substrate's read failover when sharded: a worker lost
-	// between batches surfaces here first, and gets rebuilt-and-retried
-	// instead of killing the session.
-	var canInfos []elim.Info
-	s.readFailover(func() { canInfos = elim.CanSets(b.P, s.Match, s.P, s.G, s.Engine) })
+	// DER-I on the pre-update state.
+	canInfos := elim.CanSets(b.P, s.Match, s.P, s.G, s.Engine)
 
 	// Apply ΔGD, fusing DER-II with SLen maintenance (Algorithm 2's
-	// in-place SLen_new update). The partitioned engine reconciles its
-	// bridge overlay once for the whole batch (§VI's batching).
+	// in-place SLen_new update). The partitioned engine synchronises
+	// the whole batch at once (§VI's batching).
 	slenStart := time.Now()
 	var affSets []nodeset.Set
 	var changeLog nodeset.Set
@@ -156,10 +152,7 @@ func (s *Session) runUA(b updates.Batch) {
 	s.ensureHorizonFor(newP)
 
 	// DER-III + EH-Tree + the single amendment pass (Fig. 3, §IV-C).
-	// Read-only against (s.Match, frozen post-batch engine), so the
-	// failover retry recomputes cleanly; session state commits below.
-	var pass UAPassResult
-	s.readFailover(func() { pass = RunUAPass(s.Match, newP, s.G, s.Engine, affInfos, canInfos, changeLog, s.amendWorkers()) })
+	pass := RunUAPass(s.Match, newP, s.G, s.Engine, affInfos, canInfos, changeLog, s.amendWorkers())
 	s.Stats.TreeSize = pass.TreeSize
 	s.Stats.TreeRoots = pass.TreeRoots
 	s.Stats.Eliminated = pass.Eliminated

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"uagpnm/internal/obs"
-	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/updates"
 )
@@ -176,66 +175,74 @@ func TestHubFailoverMatchesUnshardedResult(t *testing.T) {
 	}
 }
 
-// TestHubFailoverOnRegisterRead pins the read-path discovery: a worker
-// that died BETWEEN batches is first noticed by the next read fan — the
-// initial query of a Register — which must repair and retry instead of
-// poisoning (this exact path escaped the mutation-phase protection in
-// an early cut of the failover work).
+// TestHubFailoverOnRegisterRead pins where a loss between batches
+// surfaces now that no read touches a shard: a worker killed while the
+// hub is idle goes unnoticed by Register — its initial query reads ball
+// rows off the coordinator's own graph without a single RPC — and the
+// next ApplyBatch's mutation path repairs it, reporting Recovered == 1
+// with matches equal to an unsharded hub's.
 func TestHubFailoverOnRegisterRead(t *testing.T) {
 	healthy := newKillableHubWorker(t)
 	victim := newKillableHubWorker(t)
-	g := lineGraph()
-	// Node 3: an isolated B. It is no bridge and no update ever touches
-	// it, so neither the build's bridge-row plan nor any batch's warm
-	// piggyback fetches its rows — the one guaranteed-cold row on the
-	// victim's partition, which the Register below must then fetch from
-	// the corpse (a register served purely from warm caches never
-	// notices one — correctly so).
-	g.AddNode("B")  // 3
-	g.AddEdge(1, 2) // the B node reaches an A, so a B→A pattern matches it
-	h, err := New(g, Config{Horizon: 3, Workers: 2,
+	reg := obs.NewRegistry()
+	sharded, err := New(lineGraph(), Config{Horizon: 3, Workers: 2, Metrics: reg,
 		Shards: []string{healthy.ts.URL, victim.ts.URL}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer h.Close()
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
-		{Kind: updates.DataNodeInsert, Node: 4, Labels: []string{"B"}},
-	}}); err != nil {
-		t.Fatalf("healthy batch: %v", err)
+	defer sharded.Close()
+	plain := mustHub(t, lineGraph(), Config{Horizon: 3, Workers: 2})
+	apply := func(ds []updates.Update) BatchStats {
+		t.Helper()
+		_, st, err := sharded.ApplyBatch(Batch{D: ds})
+		if err != nil {
+			t.Fatalf("sharded batch: %v", err)
+		}
+		if _, _, err := plain.ApplyBatch(Batch{D: ds}); err != nil {
+			t.Fatalf("plain batch: %v", err)
+		}
+		return st
 	}
+	apply([]updates.Update{{Kind: updates.DataEdgeInsert, From: 2, To: 1}})
 
 	victim.dead.Store(true) // dies idle, with no batch in flight
 
-	// A B-within-1-of-A pattern needs every B node's forward row —
-	// including isolated node 3's, intra state of the victim's partition
-	// that no plan ever warmed — so the initial query must fetch from
-	// the corpse and recover.
-	ba := pattern.New(h.Graph().Labels())
-	b0 := ba.AddNode("B")
-	a0 := ba.AddNode("A")
-	ba.AddEdge(b0, a0, 1)
-	id, err := h.Register(ba)
+	rpcs := func() (n uint64) {
+		for _, c := range reg.HistogramCounts("gpnm_rpc_seconds") {
+			n += c
+		}
+		return n
+	}
+	before := rpcs()
+	idS, err := sharded.Register(abPattern(sharded.Graph()))
 	if err != nil {
-		t.Fatalf("Register across a dead worker must recover, got %v", err)
+		t.Fatalf("Register with a dead worker: %v", err)
 	}
-	if _, recovered := h.Status(); recovered != 1 {
-		t.Fatalf("Status() recovered = %d, want 1", recovered)
+	if n := rpcs() - before; n != 0 {
+		t.Fatalf("Register issued %d shard RPCs, want 0", n)
 	}
-	res, err := h.ResultErr(id, b0)
-	if err != nil || len(res) != 1 || res[0] != 1 {
-		t.Fatalf("post-recovery initial result = (%v, %v), want [1]", res, err)
+	if _, recovered := sharded.Status(); recovered != 0 {
+		t.Fatalf("Status() recovered = %d after Register, want 0", recovered)
 	}
-	// And the hub still processes batches on the survivor: wiring the
-	// new B node to an A makes it match too.
-	deltas, st, err := h.ApplyBatch(Batch{D: []updates.Update{
-		{Kind: updates.DataEdgeInsert, From: 3, To: 0},
-	}})
-	if err != nil || st.Recovered != 0 {
-		t.Fatalf("post-recovery batch = (err=%v, recovered=%d), want clean", err, st.Recovered)
+	idP := mustRegister(t, plain, abPattern(plain.Graph()))
+	same := func(when string) {
+		t.Helper()
+		ms, ok := sharded.Match(idS)
+		mp, _ := plain.Match(idP)
+		if !ok || !ms.Equal(mp) {
+			t.Fatalf("%s: sharded hub diverges from in-process hub", when)
+		}
 	}
-	if len(deltas) != 1 || len(deltas[0].Nodes) == 0 {
-		t.Fatalf("post-recovery batch delta = %+v, want node 3 added", deltas)
+	same("after Register")
+
+	// The next mutation reaches the corpse and repairs the fleet.
+	st := apply([]updates.Update{{Kind: updates.DataEdgeDelete, From: 0, To: 1}})
+	if st.Recovered != 1 {
+		t.Fatalf("BatchStats.Recovered = %d, want 1", st.Recovered)
+	}
+	same("after the recovered batch")
+	if sharded.Err() != nil {
+		t.Fatalf("hub poisoned despite recovery: %v", sharded.Err())
 	}
 }
 
@@ -245,7 +252,7 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 // critical path, so the NEXT batch runs clean (Recovered stays 0) and
 // still produces correct results. Without the sweep this exact loss is
 // TestHubFailoverOnRegisterRead's scenario: paid for inside the next
-// read fan.
+// batch.
 func TestHubHealthSweepRepairsIdleLoss(t *testing.T) {
 	healthy := newKillableHubWorker(t)
 	victim := newKillableHubWorker(t)

@@ -7,8 +7,8 @@
 // (n-1)/n of its maintenance budget if every pattern runs its own
 // Session: each would redo the identical substrate synchronisation per
 // batch. The hub amortises it. ApplyBatch advances the shared substrate
-// exactly once per batch — one structural application, one overlay (or
-// matrix) reconciliation, one change log — and only the per-pattern
+// exactly once per batch — one structural application, one substrate
+// reconciliation, one change log — and only the per-pattern
 // work (DER detection, EH-Tree construction, the single amendment pass)
 // is repeated, fanned across the partition worker pool.
 //
@@ -95,10 +95,9 @@ type Config struct {
 	// FailoverRetries bounds how many distinct shard losses each
 	// failover boundary may absorb before the hub poisons itself with
 	// shard.ErrSubstrateLost. A boundary is one protected engine
-	// operation — a batch's substrate phases, a detection or amendment
-	// fan, a register's initial query — so one ApplyBatch crosses a few
-	// and can in principle absorb a loss at each (partition engine
-	// semantics; see partition.WithFailoverRetries). 0 = the default of
+	// operation — a batch's substrate phases, a horizon widening, a
+	// sweep repair (partition engine semantics; see
+	// partition.WithFailoverRetries). 0 = the default of
 	// 1 per boundary; negative = disable failover entirely (every loss
 	// poisons, the pre-failover model).
 	FailoverRetries int
@@ -193,15 +192,10 @@ type BatchStats struct {
 	// Patterns says nothing about selectivity. Logged per batch so an
 	// adaptive policy can learn when discrimination stops paying.
 	IndexBypassed bool
-	// RPCCalls / RowsPrefetched / RowsMissed summarise this batch's use
-	// of the sharded read plane (deltas of the registry's cumulative
-	// counters across ApplyBatch): coordinator→worker RPCs issued, rows
-	// installed client-side by the bulk paths (/rows + the /ops warm
-	// piggyback), and rows that fell through to singleton /row fetches.
-	// All zero when the substrate is in-process.
-	RPCCalls       uint64
-	RowsPrefetched uint64
-	RowsMissed     uint64
+	// RPCCalls counts the coordinator→worker RPCs this batch issued (a
+	// delta of the registry's cumulative counters across ApplyBatch).
+	// Zero when the substrate is in-process.
+	RPCCalls uint64
 	// AmendWorkers is the per-pass amendment fan width this batch ran
 	// with (the pool divided across the woken registrations; 1 = the
 	// sequential drain). Logged so an adaptive phase-shape policy can
@@ -215,6 +209,12 @@ type BatchStats struct {
 
 // ErrUnknownPattern reports an id that is not (or no longer) registered.
 var ErrUnknownPattern = errors.New("hub: unknown pattern")
+
+// ErrBadUpdate reports a batch that ApplyBatch refused before touching
+// anything: an update on the wrong side, a node insert with a
+// mispredicted id, or an update naming a node id that was never
+// allocated.
+var ErrBadUpdate = errors.New("hub: bad update")
 
 // registration is one standing query: its evolving pattern, its current
 // match, the stats of its last per-pattern pass and its delta log.
@@ -360,9 +360,9 @@ func (h *Hub) fanWorkers() int {
 // concurrent hub use, or parse them under the hub's lock with
 // RegisterScript.
 //
-// It errors when the substrate is (or becomes) lost: the initial query
-// widens the horizon and reads the engine, both of which can hit a dead
-// remote shard.
+// It errors when the substrate is (or becomes) lost: widening the
+// horizon rebuilds the remote intra engines. The initial query itself
+// reads only the coordinator's graph and never touches a shard.
 func (h *Hub) Register(p *pattern.Graph) (id PatternID, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -417,46 +417,16 @@ func (h *Hub) RegisterFunc(build func(labels *graph.Labels) (*pattern.Graph, err
 	return h.registerLocked(p), nil
 }
 
-// readFailover runs a read-only engine fan under the substrate's
-// failover protection when the substrate supports it: a shard worker
-// lost between batches surfaces on the next read, and this is what
-// turns that into a rebuild-and-retry instead of a poison. Safe here
-// because every caller holds h.mu, so the fan is the engine's only
-// reader (the read-epoch contract), and every fn overwrites its
-// outputs wholesale (idempotent retry).
-func (h *Hub) readFailover(fn func()) {
-	if pe, ok := h.eng.(*partition.Engine); ok {
-		pe.WithReadFailover(fn)
-		return
-	}
-	fn()
-}
-
 func (h *Hub) registerLocked(p *pattern.Graph) PatternID {
 	if b := p.MaxFiniteBound(); b > 0 {
 		h.ensureHorizonLocked(b)
 	}
 	id := h.next
 	h.next++
-	// The initial simulation queries the balls of every label candidate
-	// of the pattern; on a sharded substrate, plan that row demand into
-	// one bulk RPC per worker up front so the fixpoint below runs
-	// against a warm row cache instead of a per-row round trip per miss.
-	if pe, ok := h.eng.(*partition.Engine); ok && pe.Remote() {
-		var cand nodeset.Builder
-		p.Nodes(func(u pattern.NodeID) {
-			for _, v := range h.g.NodesWithLabel(p.Label(u)) {
-				cand.Add(v)
-			}
-		})
-		pe.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to Register's recover
-	}
-	var m *simulation.Match
-	h.readFailover(func() { m = simulation.Run(p, h.g, h.eng) })
 	r := &registration{
 		id:           id,
 		p:            p,
-		match:        m,
+		match:        simulation.Run(p, h.g, h.eng),
 		sig:          pattern.SignatureOf(p),
 		trimmedBelow: h.seq, // nothing to long-poll before registration
 	}
@@ -711,21 +681,15 @@ func (h *Hub) PatternStatsErr(id PatternID) (core.QueryStats, error) {
 // it also holds the per-batch phase traces behind /v1/trace.
 func (h *Hub) Metrics() *obs.Registry { return h.obs }
 
-// rpcPlane is one snapshot of the registry's cumulative sharded-read
-// counters; ApplyBatch takes one before and one after to report the
-// batch's own RPC traffic in BatchStats.
-type rpcPlane struct {
-	calls, prefetched, missed uint64
-}
-
-func (h *Hub) rpcPlaneSnapshot() rpcPlane {
-	var p rpcPlane
-	for _, n := range h.obs.HistogramCounts("gpnm_rpc_seconds") {
-		p.calls += n
+// rpcCalls reads the registry's cumulative coordinator→worker RPC
+// count; ApplyBatch takes one reading before and one after to report
+// the batch's own RPC traffic in BatchStats.
+func (h *Hub) rpcCalls() uint64 {
+	var n uint64
+	for _, c := range h.obs.HistogramCounts("gpnm_rpc_seconds") {
+		n += c
 	}
-	p.prefetched = h.obs.Counter("gpnm_rpc_rows_prefetched_total").Value()
-	p.missed = h.obs.Counter("gpnm_rpc_rows_missed_total").Value()
-	return p
+	return n
 }
 
 // span records one hub-side batch phase into the same histogram family
@@ -787,7 +751,7 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	defer partition.RecoverSubstrateLoss(&err)
 	start := time.Now()
 	_, recovered0 := h.Status()
-	rpc0 := h.rpcPlaneSnapshot()
+	rpc0 := h.rpcCalls()
 	h.obs.Counter("gpnm_hub_batches_total").Inc()
 
 	// One trace per batch: hub phases append to it directly, and the
@@ -805,17 +769,27 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	// ids), and a panic mid-batch — worse, inside a pooled worker —
 	// would leave the hub's substrate half-advanced. Node ids are
 	// assigned sequentially and never reused, so an insert's id must be
-	// the graph's next id offset by the inserts before it in the batch.
+	// the graph's next id offset by the inserts before it in the batch,
+	// and every other update must name an id below that. (Deleting an
+	// absent edge between allocated nodes stays a no-op.)
 	nextData := uint32(h.g.NumIDs())
 	for _, u := range b.D {
-		if !u.Kind.IsData() {
-			return nil, BatchStats{}, fmt.Errorf("hub: pattern update %v on the data side", u)
-		}
-		if u.Kind == updates.DataNodeInsert {
+		switch u.Kind {
+		case updates.DataNodeInsert:
 			if u.Node != nextData {
-				return nil, BatchStats{}, fmt.Errorf("hub: data node insert id %d, next assignable id is %d", u.Node, nextData)
+				return nil, BatchStats{}, fmt.Errorf("%w: data node insert id %d, next assignable id is %d", ErrBadUpdate, u.Node, nextData)
 			}
 			nextData++
+		case updates.DataEdgeInsert, updates.DataEdgeDelete:
+			if u.From >= nextData || u.To >= nextData {
+				return nil, BatchStats{}, fmt.Errorf("%w: %v names a node id never allocated (next assignable id is %d)", ErrBadUpdate, u, nextData)
+			}
+		case updates.DataNodeDelete:
+			if u.Node >= nextData {
+				return nil, BatchStats{}, fmt.Errorf("%w: %v names a node id never allocated (next assignable id is %d)", ErrBadUpdate, u, nextData)
+			}
+		default:
+			return nil, BatchStats{}, fmt.Errorf("%w: pattern update %v on the data side", ErrBadUpdate, u)
 		}
 	}
 	maxBound := 0
@@ -827,11 +801,11 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 		nextPat := pattern.NodeID(r.p.NumIDs())
 		for _, u := range ups {
 			if u.Kind.IsData() {
-				return nil, BatchStats{}, fmt.Errorf("hub: data update %v on the pattern side", u)
+				return nil, BatchStats{}, fmt.Errorf("%w: data update %v on the pattern side", ErrBadUpdate, u)
 			}
 			if u.Kind == updates.PatternNodeInsert {
 				if pattern.NodeID(u.Node) != nextPat {
-					return nil, BatchStats{}, fmt.Errorf("hub: pattern %d node insert id %d, next assignable id is %d", pid, u.Node, nextPat)
+					return nil, BatchStats{}, fmt.Errorf("%w: pattern %d node insert id %d, next assignable id is %d", ErrBadUpdate, pid, u.Node, nextPat)
 				}
 				nextPat++
 			}
@@ -904,9 +878,7 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	// Phase 1 — DER-I per pattern against the frozen pre-batch epoch.
 	// Skipped outright for data-only batches (the common case): nil
 	// canInfos entries are what RunUAPass expects then. The fan covers
-	// only the patterns with ΔGP updates and runs under read failover:
-	// each worker overwrites canInfos[i] wholesale, so a repaired retry
-	// recomputes cleanly.
+	// only the patterns with ΔGP updates.
 	workers := h.fanWorkers()
 	canInfos := make([][]elim.Info, len(regs))
 	if len(b.P) > 0 {
@@ -917,12 +889,11 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 				withUps = append(withUps, i)
 			}
 		}
-		h.readFailover(func() {
-			partition.ForEach(workers, len(withUps), func(k int) {
-				i := withUps[k]
-				r := regs[i]
-				canInfos[i] = elim.CanSets(b.P[r.id], r.match, r.p, h.g, h.eng)
-			})
+		//lint:allow lockguard CPU-only fan over the frozen epoch: ball rows come from the coordinator's graph, no worker takes h.mu, and h.mu is the batch's single-writer lock by design
+		partition.ForEach(workers, len(withUps), func(k int) {
+			i := withUps[k]
+			r := regs[i]
+			canInfos[i] = elim.CanSets(b.P[r.id], r.match, r.p, h.g, h.eng)
 		})
 		h.span(tr, "der1_fan", der1Start)
 	}
@@ -1003,38 +974,10 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 
 	// Phase 3 — per-pattern DER-III + EH-Tree + one amendment pass,
 	// fanned across the worker pool over the woken registrations only;
-	// every worker reads the frozen post-batch epoch. Workers write
-	// into outs/deltas rather than the registrations, and the commit
-	// happens only after the whole fan has joined: that makes the fan
-	// idempotent, so a shard worker lost mid-amendment is repaired by
-	// read failover and the fan simply re-runs against the same
-	// pre-commit state.
-	// Row-demand plan for the fan: the amendment passes below read the
-	// balls of the batch's affected nodes, and their removal cascades
-	// recheck the woken patterns' label candidates. On a sharded
-	// substrate, fetch those source rows in one bulk RPC per worker now
-	// (timed as row_plan) so the fan's stitched ball builds resolve from
-	// the warm client row cache. The candidate demand is mostly cached
-	// already — the bulk client refetches only rows the batch's
-	// partition-scoped invalidation dropped — and whatever the cascade
-	// reaches beyond the plan still misses to singleton /row fetches.
-	if len(wokenIdx) > 0 {
-		if pe, ok := h.eng.(*partition.Engine); ok && pe.Remote() {
-			var demand nodeset.Builder
-			for _, s := range affSets {
-				demand.AddAll(s)
-			}
-			for _, k := range wokenIdx {
-				p := regs[k].p
-				p.Nodes(func(u pattern.NodeID) {
-					for _, v := range h.g.NodesWithLabel(p.Label(u)) {
-						demand.Add(v)
-					}
-				})
-			}
-			pe.PrefetchBallRows(demand.Set()) // spans itself as row_plan via the trace sink
-		}
-	}
+	// every worker reads the frozen post-batch epoch, whose balls come
+	// from the coordinator's own graph. Workers write into outs/deltas
+	// rather than the registrations, and the commit happens only after
+	// the whole fan has joined.
 
 	fanStart := time.Now()
 	type patternPass struct {
@@ -1058,33 +1001,32 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 			amendWorkers = 1
 		}
 	}
-	h.readFailover(func() {
-		partition.ForEach(workers, len(wokenIdx), func(k int) {
-			i := wokenIdx[k]
-			r := regs[i]
-			ups := b.P[r.id]
-			passStart := time.Now()
+	//lint:allow lockguard CPU-only fan over the frozen epoch: ball rows come from the coordinator's graph, no worker takes h.mu, and h.mu is the batch's single-writer lock by design
+	partition.ForEach(workers, len(wokenIdx), func(k int) {
+		i := wokenIdx[k]
+		r := regs[i]
+		ups := b.P[r.id]
+		passStart := time.Now()
 
-			newP := r.p
-			if len(ups) > 0 {
-				newP = r.p.Clone()
-				updates.ApplyPatternBatch(ups, newP)
-			}
+		newP := r.p
+		if len(ups) > 0 {
+			newP = r.p.Clone()
+			updates.ApplyPatternBatch(ups, newP)
+		}
 
-			pass := core.RunUAPass(r.match, newP, h.g, h.eng, affInfos, canInfos[i], changeLog, amendWorkers)
+		pass := core.RunUAPass(r.match, newP, h.g, h.eng, affInfos, canInfos[i], changeLog, amendWorkers)
 
-			deltas[i] = Delta{Pattern: r.id, Seq: seq, Nodes: simulation.Delta(r.match, pass.Match)}
-			outs[i] = patternPass{p: newP, match: pass.Match, stats: core.QueryStats{
-				Duration:       time.Since(passStart),
-				Passes:         1,
-				DataUpdates:    len(b.D),
-				PatternUpdates: len(ups),
-				TreeSize:       pass.TreeSize,
-				TreeRoots:      pass.TreeRoots,
-				Eliminated:     pass.Eliminated,
-				SeedNodes:      pass.SeedNodes,
-			}}
-		})
+		deltas[i] = Delta{Pattern: r.id, Seq: seq, Nodes: simulation.Delta(r.match, pass.Match)}
+		outs[i] = patternPass{p: newP, match: pass.Match, stats: core.QueryStats{
+			Duration:       time.Since(passStart),
+			Passes:         1,
+			DataUpdates:    len(b.D),
+			PatternUpdates: len(ups),
+			TreeSize:       pass.TreeSize,
+			TreeRoots:      pass.TreeRoots,
+			Eliminated:     pass.Eliminated,
+			SeedNodes:      pass.SeedNodes,
+		}}
 	})
 	h.span(tr, "amend_fan", fanStart)
 	for _, i := range wokenIdx {
@@ -1105,24 +1047,22 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 		r.appendDelta(deltas[i], h.cfg.History)
 	}
 	_, recovered1 := h.Status()
-	rpc1 := h.rpcPlaneSnapshot()
+	rpc1 := h.rpcCalls()
 	h.last = BatchStats{
-		Seq:            seq,
-		DataUpdates:    len(b.D),
-		Patterns:       len(regs),
-		SLenSync:       slen,
-		SLenSyncs:      len(b.D),
-		FanOut:         time.Since(fanStart),
-		Duration:       time.Since(start),
-		Recovered:      int(recovered1 - recovered0),
-		Woken:          len(wokenIdx),
-		Skipped:        len(regs) - len(wokenIdx),
-		IndexBypassed:  bypassed,
-		RPCCalls:       rpc1.calls - rpc0.calls,
-		RowsPrefetched: rpc1.prefetched - rpc0.prefetched,
-		RowsMissed:     rpc1.missed - rpc0.missed,
-		AmendWorkers:   amendWorkers,
-		Overlapped:     overlapped,
+		Seq:           seq,
+		DataUpdates:   len(b.D),
+		Patterns:      len(regs),
+		SLenSync:      slen,
+		SLenSyncs:     len(b.D),
+		FanOut:        time.Since(fanStart),
+		Duration:      time.Since(start),
+		Recovered:     int(recovered1 - recovered0),
+		Woken:         len(wokenIdx),
+		Skipped:       len(regs) - len(wokenIdx),
+		IndexBypassed: bypassed,
+		RPCCalls:      rpc1 - rpc0,
+		AmendWorkers:  amendWorkers,
+		Overlapped:    overlapped,
 	}
 	h.obs.Counter("gpnm_hub_woken_total").Add(uint64(h.last.Woken))
 	h.obs.Counter("gpnm_hub_skipped_total").Add(uint64(h.last.Skipped))

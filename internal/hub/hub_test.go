@@ -3,6 +3,7 @@ package hub
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -149,6 +150,81 @@ func TestHubApplyBatchValidation(t *testing.T) {
 	// Nothing above but the last batch may have advanced the epoch.
 	if h.Seq() != 1 {
 		t.Fatalf("Seq = %d, want 1 (only the valid batch applied)", h.Seq())
+	}
+}
+
+// graphDigest renders every allocated id's liveness and out-edges, so
+// two digests are equal exactly when the graphs are.
+func graphDigest(g *graph.Graph) string {
+	var sb strings.Builder
+	for id := 0; id < g.NumIDs(); id++ {
+		fmt.Fprintf(&sb, "%d:%v:%v;", id, g.Alive(uint32(id)), g.Out(uint32(id)))
+	}
+	return sb.String()
+}
+
+// TestApplyBatchRejectsUnallocatedIDs: updates naming node ids that were
+// never allocated are refused with ErrBadUpdate, and a refused batch
+// leaves no trace — the same Seq, the same graph and every match
+// bit-for-bit unchanged — even when valid updates precede the bad one.
+func TestApplyBatchRejectsUnallocatedIDs(t *testing.T) {
+	g := lineGraph() // ids 0..2
+	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	ids := []PatternID{mustRegister(t, h, abPattern(g))}
+	ba := pattern.New(g.Labels())
+	ba.AddEdge(ba.AddNode("B"), ba.AddNode("A"), 2)
+	ids = append(ids, mustRegister(t, h, ba))
+
+	type state struct {
+		seq     uint64
+		graph   string
+		matches []*simulation.Match
+	}
+	capture := func() state {
+		st := state{seq: h.Seq(), graph: graphDigest(h.Graph())}
+		for _, id := range ids {
+			m, _ := h.Match(id)
+			st.matches = append(st.matches, m)
+		}
+		return st
+	}
+	before := capture()
+	ins := func(u, v uint32) updates.Update { return updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v} }
+	for _, ds := range [][]updates.Update{
+		{ins(0, 999999)},
+		{{Kind: updates.DataEdgeDelete, From: 5, To: 7}},
+		{{Kind: updates.DataNodeDelete, Node: 424242}},
+		// Valid updates first: the refusal must not leave them applied.
+		{ins(2, 1), {Kind: updates.DataEdgeDelete, From: 0, To: 1}, ins(1, 3)},
+		// The batch's own insert allocates id 3, not 4.
+		{{Kind: updates.DataNodeInsert, Node: 3, Labels: []string{"B"}}, ins(3, 4)},
+		{{Kind: updates.DataNodeInsert, Node: 3, Labels: []string{"B"}}, {Kind: updates.DataNodeDelete, Node: 4}},
+	} {
+		if _, _, err := h.ApplyBatch(Batch{D: ds}); !errors.Is(err, ErrBadUpdate) {
+			t.Fatalf("batch %v: err = %v, want ErrBadUpdate", ds, err)
+		}
+		after := capture()
+		if after.seq != before.seq || after.graph != before.graph {
+			t.Fatalf("batch %v: refused batch moved seq %d→%d or the graph", ds, before.seq, after.seq)
+		}
+		for i := range ids {
+			if !after.matches[i].Equal(before.matches[i]) {
+				t.Fatalf("batch %v: refused batch changed pattern %d's match", ds, ids[i])
+			}
+		}
+	}
+
+	// Ids the batch itself allocates are fair game, and deleting an
+	// absent edge between allocated nodes stays a no-op.
+	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+		{Kind: updates.DataNodeInsert, Node: 3, Labels: []string{"B"}},
+		ins(3, 0),
+		{Kind: updates.DataEdgeDelete, From: 2, To: 0},
+	}}); err != nil {
+		t.Fatalf("valid batch rejected: %v", err)
+	}
+	if h.Seq() != before.seq+1 {
+		t.Fatalf("Seq = %d after one accepted batch, want %d", h.Seq(), before.seq+1)
 	}
 }
 

@@ -1,18 +1,19 @@
 package hub
 
-// Regression pins for the batched shard read plane: a sharded hub batch
-// must plan its row demand into at most ONE bulk /rows call per worker
-// (the per-row fallback staying a miss path, never the plan), and the
-// bulk plane must actually carry traffic — otherwise a refactor could
-// silently fall back to thousands of singleton /row round trips per
-// batch and no functional test would notice.
+// Pin for the single row source: a sharded hub reads every ball row off
+// the coordinator's own graph, so its workers serve the op stream and
+// the batch's affected balls but never a row — and the worker protocol
+// has no row endpoint at all.
 
 import (
+	"bufio"
 	"math/rand"
+	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"uagpnm/internal/graph"
-	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/updates"
 )
@@ -38,61 +39,106 @@ func randomHubInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
 	return g, p
 }
 
-func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
+// workerRequests scrapes a worker's GET /metrics and returns its
+// request count per endpoint (gpnm_worker_requests_total).
+func workerRequests(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	out := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	const prefix = `gpnm_worker_requests_total{endpoint="`
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		rest := line[len(prefix):]
+		end := strings.Index(rest, `"}`)
+		if end < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(strings.TrimSpace(rest[end+2:]), 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[rest[:end]] = v
+	}
+	return out
+}
+
+func TestShardedHubServesNoRows(t *testing.T) {
 	const shards = 2
 	addrs := make([]string, shards)
 	for i := range addrs {
-		addrs[i] = startWorker(t).URL
+		ws := startWorker(t)
+		t.Cleanup(ws.Close)
+		addrs[i] = ws.URL
 	}
-	g, p := randomHubInstance(11, 160, 520)
+	before := workerRequests(t, addrs[0])
 
-	reg := obs.NewRegistry()
-	h, err := New(g.Clone(), Config{Horizon: 3, Workers: 2, Shards: addrs, Metrics: reg})
+	g, p := randomHubInstance(11, 160, 520)
+	sharded, err := New(g.Clone(), Config{Horizon: 3, Workers: 2, Shards: addrs})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer h.Close()
-	if _, err := h.Register(p.Clone()); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
+	defer sharded.Close()
+	plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2})
 
 	// Pre-generate batches against an evolving clone so node-insert ids
-	// line up when the hub replays them.
+	// line up when the hubs replay them.
 	gw := g.Clone()
 	batches := make([]updates.Batch, 3)
 	for i := range batches {
 		batches[i] = updates.Generate(updates.Balanced(int64(100+i), 0, 40), gw, p)
 		updates.ApplyDataStructural(batches[i].D, gw)
 	}
-
-	rowsCalls := func() uint64 { return reg.HistogramCounts("gpnm_rpc_seconds")["/rows"] }
-	var prefetched, rpcs uint64
+	var ids [2][]PatternID
+	for k, h := range []*Hub{sharded, plain} {
+		for _, q := range []*pattern.Graph{p, abPattern(h.Graph())} {
+			ids[k] = append(ids[k], mustRegister(t, h, q.Clone()))
+		}
+	}
 	for i, b := range batches {
-		before := rowsCalls()
-		_, st, err := h.ApplyBatch(Batch{D: b.D})
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
+		if _, _, err := sharded.ApplyBatch(Batch{D: b.D}); err != nil {
+			t.Fatalf("sharded batch %d: %v", i, err)
 		}
-		if got := rowsCalls() - before; got > shards {
-			t.Fatalf("batch %d issued %d /rows calls, want ≤ %d (one bulk plan per shard)", i, got, shards)
+		if _, _, err := plain.ApplyBatch(Batch{D: b.D}); err != nil {
+			t.Fatalf("plain batch %d: %v", i, err)
 		}
-		prefetched += st.RowsPrefetched
-		rpcs += st.RPCCalls
+		for j := range ids[0] {
+			ms, _ := sharded.Match(ids[0][j])
+			mp, _ := plain.Match(ids[1][j])
+			if !ms.Equal(mp) {
+				t.Fatalf("batch %d, pattern %d: sharded hub diverges from in-process hub", i, j)
+			}
+		}
 	}
-	// The plane must be on, not vacuously bounded: across the run the
-	// bulk paths (/rows + the /ops warm piggyback) installed rows, and
-	// BatchStats carried the RPC traffic.
-	if prefetched == 0 {
-		t.Fatal("no rows were bulk-prefetched across the run — the planned read plane is off")
+
+	// Worker telemetry is process-wide (every worker in this test binary
+	// shares it), so the row endpoints must read zero across the whole
+	// package run, while this hub's batches must show up as op-stream and
+	// affected-ball traffic.
+	after := workerRequests(t, addrs[0])
+	for _, ep := range []string{"/row", "/rows"} {
+		if n := after[ep]; n != 0 {
+			t.Fatalf("workers served %v %s requests, want 0", n, ep)
+		}
 	}
-	if rpcs == 0 {
-		t.Fatal("BatchStats.RPCCalls stayed 0 on a sharded hub")
+	for _, ep := range []string{"/ops", "/affected"} {
+		if after[ep] <= before[ep] {
+			t.Fatalf("workers served no %s requests during the run", ep)
+		}
 	}
-	// The merged op-flush plan (bridge rows of touched partitions +
-	// source rows of op endpoints) overlaps whenever an endpoint IS a
-	// bridge node; those copies must be dropped before the wire, and the
-	// scorecard counter must show it happened on a batch of this shape.
-	if deduped := reg.Counter("gpnm_rpc_rows_deduped_total").Value(); deduped == 0 {
-		t.Fatal("gpnm_rpc_rows_deduped_total = 0: bulk plans shipped duplicate row requests")
+	resp, err := http.Post(addrs[0]+"/rows", "application/json", strings.NewReader(`{"reqs":[]}`))
+	if err != nil {
+		t.Fatalf("POST /rows: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /rows = HTTP %d, want 404", resp.StatusCode)
 	}
 }

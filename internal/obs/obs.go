@@ -120,8 +120,9 @@ type Span struct {
 
 // Trace is the phase breakdown of one hub batch: every instrumented
 // span the batch crossed, in completion order — the engine's
-// ApplyDataBatch phases (pre_balls, oplog_flush, overlay_sync,
-// post_balls, row_prefetch), any recovery spans a shard loss inserted,
+// ApplyDataBatch phases (pre_balls, oplog_flush with its nested
+// oplog_join on sharded substrates, post_balls, row_prefetch), any
+// recovery spans a shard loss inserted,
 // and the hub's own phases (slen_sync, wake_plan, amend_fan). A Trace
 // is built single-threaded by the batch's single writer and becomes
 // immutable once recorded into a registry's ring.

@@ -11,9 +11,9 @@ import (
 
 // ApplyDataBatch applies a whole ΔGD sequence — mutating the data graph,
 // the partition subgraph mirrors and the (shard-hosted) intra-partition
-// engines per update — with a single overlay reconciliation at the end,
-// and returns the per-update affected sets (Aff_N, for DER-II/EH-Tree)
-// plus their union (the batch change log the amendment seeds on).
+// engines per update — and returns the per-update affected sets (Aff_N,
+// for DER-II/EH-Tree) plus their union (the batch change log the
+// amendment seeds on).
 //
 // Affected sets are the conservative ball supersets: deletions take
 // their balls in the pre-batch state (covering every pair whose original
@@ -21,10 +21,10 @@ import (
 // state (covering every pair whose new shortest path uses the inserted
 // edge). Any pair whose distance differs between the original and final
 // state is witnessed by one of the two, so the union seeds the amendment
-// exactly as the per-update API would — at a fraction of the overlay
-// maintenance cost, which is what UA-GPNM's batching buys (§VI).
+// exactly as the per-update API would, with one row-cache invalidation
+// for the whole batch (§VI).
 //
-// The ball phases (1 and 4) are read-only snapshots of a fixed graph
+// The ball phases (1 and 3) are read-only snapshots of a fixed graph
 // state; with in-process shards they run one update per pool worker,
 // with remote shards they fan across the shard processes (each worker
 // computing its slice against its own data-graph replica). The
@@ -33,11 +33,9 @@ import (
 // shards their ops one by one (preserving the monolith's exact
 // interleaving) and streaming remote shards the ordered op log in
 // epoch-fenced chunks that flush in the background while staging
-// continues, joining at the end of the phase (see stream.go). The
-// overlay reconciliation (3) parallelises
-// internally. Finally the stitched rows of the change log — exactly
-// the rows the subsequent amendment pass queries — are pre-warmed
-// across the pool.
+// continues, joining at the end of the phase (see stream.go). Finally
+// the reverse rows of the change log — exactly the rows the subsequent
+// amendment pass queries — are pre-warmed across the pool.
 //
 // This is the substrate's error and failover boundary. Losing a shard
 // mid-batch (transport death, replica divergence) no longer poisons by
@@ -45,10 +43,8 @@ import (
 // from the coordinator's subgraph mirrors on surviving (or spare)
 // workers, and the faulted phase is retried against the repaired
 // assignment — the op stream is epoch-fenced so a survivor that had
-// already applied the in-flight flush never double-applies, and the
-// lost workers' affected sets are compensated by conservatively
-// dirtying their partitions' bridge anchors before the overlay
-// reconciliation (see recovery.go). Only when no capacity survives or
+// already applied the in-flight flush never double-applies (see
+// recovery.go). Only when no capacity survives or
 // the failover budget (WithFailoverRetries) is spent does the old
 // terminal path fire: an error wrapping shard.ErrSubstrateLost, with
 // the engine poisoned (Err reports the sticky loss) because the data
@@ -86,7 +82,7 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 			}
 		}
 	case e.remote:
-		e.withFailover(nil, func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
+		e.withFailover(func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
 	default:
 		parallelFor(e.workers, len(ds), func(i int) {
 			switch u := ds[i]; u.Kind {
@@ -104,16 +100,12 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 
 	e.span("pre_balls", phaseStart)
 
-	// Phase 2: structural application in update order; the overlay is
-	// left stale, accumulating dirty anchors. In-process shards apply
-	// each op as it is staged; remote shards receive the ordered op log
-	// as an epoch-fenced chunk stream that flushes in the background
-	// while staging continues, joining (and settling the shard-side
-	// affected sets into dirty — a superset of the per-op translation,
-	// since every bridge-status change already dirties its endpoints
-	// directly) at the end of the phase. See stream.go.
+	// Phase 2: structural application in update order. In-process
+	// shards apply each op as it is staged; remote shards receive the
+	// ordered op log as an epoch-fenced chunk stream that flushes in the
+	// background while staging continues, joining at the end of the
+	// phase. See stream.go. The row caches are stale afterwards.
 	phaseStart = time.Now()
-	var dirty nodeset.Builder
 	applied := make([]bool, len(ds))
 	var stream *opStreamer
 	if e.remote {
@@ -124,18 +116,18 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 			stream.stage(op)
 			return
 		}
-		e.applyOps([]shard.Op{op}, &dirty)
+		e.applyOps([]shard.Op{op})
 	}
 	for i, u := range ds {
 		switch u.Kind {
 		case updates.DataEdgeInsert:
 			if g.AddEdge(u.From, u.To) {
-				stage(e.stageInsertEdge(u.From, u.To, &dirty))
+				stage(e.stageInsertEdge(u.From, u.To))
 				applied[i] = true
 			}
 		case updates.DataEdgeDelete:
 			if g.RemoveEdge(u.From, u.To) {
-				stage(e.stageDeleteEdge(u.From, u.To, &dirty))
+				stage(e.stageDeleteEdge(u.From, u.To))
 				applied[i] = true
 			}
 		case updates.DataNodeInsert:
@@ -147,7 +139,7 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 			applied[i] = true
 		case updates.DataNodeDelete:
 			if removed, ok := g.RemoveNode(u.Node); ok {
-				stage(e.stageDeleteNode(u.Node, removed, &dirty))
+				stage(e.stageDeleteNode(u.Node, removed))
 				applied[i] = true
 			}
 		default:
@@ -156,23 +148,15 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 		}
 	}
 	if stream != nil {
-		stream.finish(&dirty)
-	}
-	e.span("oplog_flush", phaseStart)
-
-	// Phase 3: one overlay reconciliation for the whole batch; the
-	// materialised row caches are stale either way.
-	phaseStart = time.Now()
-	if dirty.Len() > 0 {
-		e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
+		stream.finish()
 	}
 	e.invalidate()
-	e.span("overlay_sync", phaseStart)
+	e.span("oplog_flush", phaseStart)
 
-	// Phase 4: post-state balls for insertions; assemble the change log.
+	// Phase 3: post-state balls for insertions; assemble the change log.
 	phaseStart = time.Now()
 	if e.remote {
-		e.withFailover(nil, func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
+		e.withFailover(func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
 	} else {
 		parallelFor(e.workers, len(ds), func(i int) {
 			if !applied[i] {
@@ -195,18 +179,10 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 	changeLog = log.Set()
 	e.span("post_balls", phaseStart)
 
-	// Warm the stitched rows the amendment will query. Remote fleets
-	// skip this: their shard-row demand is planned by the caller right
-	// before the read fan (hub.ApplyBatch's PrefetchBallRows covers the
-	// change log and more), so assembling stitched rows here would
-	// duplicate that plan's coverage — the batch's only standalone bulk
-	// read stays the fan plan, one /rows RPC per shard. The /ops flush
-	// above already piggybacked the bridge and op-endpoint rows the
-	// phases inside this batch read.
-	if !e.remote {
-		phaseStart = time.Now()
-		e.withFailover(nil, func() { e.prefetchRows(changeLog) })
-		e.span("row_prefetch", phaseStart)
-	}
+	// Warm the rows the amendment will query: BFS rows over the
+	// coordinator's graph, so no shard is involved.
+	phaseStart = time.Now()
+	e.prefetchRows(changeLog)
+	e.span("row_prefetch", phaseStart)
 	return perUpdate, changeLog, nil
 }

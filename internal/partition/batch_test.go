@@ -68,7 +68,7 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 		before := make(map[[2]uint32]uint16)
 		for u := uint32(0); int(u) < n0; u++ {
 			for v := uint32(0); int(v) < n0; v++ {
-				before[[2]uint32{u, v}] = e.Dist(u, v)
+				before[[2]uint32{u, v}] = rowDist(e, u, v)
 			}
 		}
 		var live []uint32
@@ -79,7 +79,7 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 		logBits.AddSet(changeLog)
 		for u := uint32(0); int(u) < n0; u++ {
 			for v := uint32(0); int(v) < n0; v++ {
-				if before[[2]uint32{u, v}] != e.Dist(u, v) {
+				if before[[2]uint32{u, v}] != rowDist(e, u, v) {
 					if !logBits.Contains(u) && !logBits.Contains(v) {
 						t.Fatalf("trial %d: changed pair (%d,%d) has neither endpoint in the change log",
 							trial, u, v)

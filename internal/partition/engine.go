@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,65 +16,54 @@ import (
 	"uagpnm/internal/updates"
 )
 
-// Engine is the partition-based SLen substrate (§V): per-partition intra
-// distances plus the bridge overlay, answering global distance queries by
-// stitching
-//
-//	d(x,y) = min( d_intra(x,y) [same partition],
-//	              min_{u ∈ exits(x), b ∈ entries(y)}
-//	                  d_intra(x,u) + d_overlay(u,b) + d_intra(b,y) ),
-//
-// which is exact (DESIGN.md §4): any path decomposes into intra segments
-// joined by cross edges, and the overlay's Dijkstra minimises over all
-// such compositions. Updates stay local: an intra-partition change
-// touches one partition engine (and the overlay only when bridge-node
-// distances move); a cross edge touches only the overlay.
+// Engine is the label-partitioned SLen substrate (§V) as the matcher
+// uses it: UA-GPNM asks its substrate only for bounded balls, and the
+// engine answers every ball by a bounded BFS over its own data graph,
+// materialised as a full-horizon row and cached until the next
+// mutation. Affected sets are conservative BFS balls too.
 //
 // Layering: the engine is the *coordinator* of the substrate. It owns
 // the data graph, the partition bookkeeping (membership, bridge-node
-// counters, subgraph mirrors), the bridge overlay and the stitched-row
-// caches; the per-partition SLen engines — the superlinear part of the
-// state — live behind the shard.Shard seam. The default configuration
-// wraps everything in one in-process shard (shard.Local), which is the
-// monolithic engine re-expressed; WithShards substitutes remote shard
-// workers (cmd/gpnm-shard over HTTP/JSON), fanning intra builds, row
-// queries and batch affected-ball phases across processes while the
-// coordinator keeps the phase discipline unchanged.
+// counters, subgraph mirrors) and the row caches; the per-partition
+// SLen engines live behind the shard.Shard seam and are kept in sync
+// with every mutation. The default configuration wraps them in one
+// in-process shard (shard.Local); WithShards substitutes remote shard
+// workers (cmd/gpnm-shard over HTTP/JSON), which receive the op stream
+// and compute the batch's affected balls on their data-graph replicas.
+// No read touches a shard: ball rows always come from the coordinator's
+// graph, so a lost worker surfaces on the next mutation path (or health
+// sweep), where failover repairs it.
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
 // Insert*/Delete*, ApplyDataBatch, EnsureHorizon) concurrently, nor a
 // mutation concurrently with anything else. The engine itself fans
-// embarrassingly parallel phases (per-partition intra builds, per-source
-// overlay Dijkstras, per-update affected balls, stitched-row prefetch)
-// across a bounded worker pool sized by WithWorkers (and across shard
-// processes when remote); every parallel phase only reads shared
-// structures and keeps its mutable state in pooled per-worker scratch,
-// with results installed from a single goroutine.
+// embarrassingly parallel phases (per-partition intra builds,
+// per-update affected balls, row prefetch) across a bounded worker pool
+// sized by WithWorkers (and across shard processes when remote); every
+// parallel phase only reads shared structures and keeps its mutable
+// state in pooled per-worker scratch, with results installed from a
+// single goroutine.
 //
-// Read epochs: between mutations the query side (Dist, WithinHops,
-// Reachable, Forward/ReverseBall, Preview*) is safe for any number of
-// concurrent goroutines — queries read structures that are immutable
-// until the next mutation, per-query scratch is pooled, and the lazy
-// row-cache fill is serialised internally (cacheMu). The standing-query
-// hub (internal/hub) leans on exactly this: one writer advances the
-// engine per batch, then many per-pattern readers amend against the
-// frozen post-batch state. Shard implementations honour the same
-// contract (concurrent reads between mutations).
+// Read epochs: between mutations the query side (Forward/ReverseBall,
+// Preview*) is safe for any number of concurrent goroutines — queries
+// read structures that are immutable until the next mutation, per-query
+// scratch is pooled, and the lazy row-cache fill is serialised
+// internally (cacheMu). The standing-query hub (internal/hub) leans on
+// exactly this: one writer advances the engine per batch, then many
+// per-pattern readers amend against the frozen post-batch state.
 //
 // Engine implements shortest.DistanceEngine; affected sets are the
 // conservative ball supersets documented on each method.
 type Engine struct {
 	part    *Partitioning
-	ov      *overlay
 	horizon int
 
 	denseThreshold int
 	ellWidth       int
-	stitched       bool // assemble cached rows via §V stitching
-	workers        int  // worker pool bound (1 = serial)
-	nLocal         int  // WithLocalShards count (0 = one)
-	opChunk        int  // ops per streamed /ops chunk (≤ 0 = single end-of-phase flush)
+	workers        int // worker pool bound (1 = serial)
+	nLocal         int // WithLocalShards count (0 = one)
+	opChunk        int // ops per streamed /ops chunk (≤ 0 = single end-of-phase flush)
 
 	// shards host the per-partition intra engines; shardOf maps a
 	// partition index to its owning shard (round-robin over the alive
@@ -111,15 +99,14 @@ type Engine struct {
 	recoveredN      atomic.Uint64
 
 	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
-	ballPool  sync.Pool // *ballScratch, per-worker stitched-ball state
 
-	// Materialised stitched rows, keyed by source node, built lazily at
-	// the full horizon on first query and dropped on any mutation. The
-	// matching fixpoint queries the same sources many times per
-	// amendment; caching makes repeat queries a plain row scan, as they
-	// would be on a materialised global SLen, while maintenance keeps
-	// the partition-local cost profile. ApplyDataBatch pre-warms the
-	// rows the next amendment is known to query (in parallel).
+	// Materialised ball rows, keyed by source node, built lazily by
+	// bounded BFS at the full horizon on first query and dropped on any
+	// mutation. The matching fixpoint queries the same sources many
+	// times per amendment; caching makes repeat queries a plain row
+	// scan, as they would be on a materialised global SLen.
+	// ApplyDataBatch pre-warms the rows the next amendment is known to
+	// query (in parallel).
 	//
 	// cacheMu makes the lazy cache fill safe under the read-epoch
 	// discipline (see the concurrency contract above): row *building* is
@@ -274,17 +261,10 @@ func WithDenseThreshold(n int) Option { return func(e *Engine) { e.denseThreshol
 // WithELLWidth forwards the hybrid ELL width to the per-partition engines.
 func WithELLWidth(k int) Option { return func(e *Engine) { e.ellWidth = k } }
 
-// WithStitchedQueries makes cache-miss ball rows assemble through the
-// partition structures (intra + overlay) instead of a direct bounded
-// BFS. Results are identical; this exists to exercise and measure the
-// literal §V computation (and is forced on for remote shards, whose
-// intra state the coordinator does not hold).
-func WithStitchedQueries() Option { return func(e *Engine) { e.stitched = true } }
-
 // WithWorkers bounds the engine's internal worker pool: per-partition
-// builds, overlay Dijkstras, batch affected-set balls and row prefetch
-// all fan across up to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs
-// every phase serially (the UA-GPNM-NoPar-comparable baseline).
+// builds, batch affected-set balls and row prefetch all fan across up
+// to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs every phase
+// serially (the UA-GPNM-NoPar-comparable baseline).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
 // WithShards serves the per-partition intra engines from the given
@@ -334,13 +314,12 @@ func WithOpChunk(n int) Option { return func(e *Engine) { e.opChunk = n } }
 
 // WithFailoverRetries bounds how many distinct shard losses one
 // failover boundary — a data batch's phases, a build, a horizon
-// widening, one WithReadFailover fan — may absorb before the engine
-// gives up and poisons itself with shard.ErrSubstrateLost. The budget
-// re-arms per boundary (a hub batch crosses a few: the detection fans
-// around the batch and the batch itself), so it bounds losses per
-// operation, not per process. The default is 1 — each faulted phase is
-// retried exactly once against the repaired assignment; n ≤ 0 disables
-// failover entirely (every loss poisons, the pre-failover behaviour).
+// widening, a health-sweep repair — may absorb before the engine gives
+// up and poisons itself with shard.ErrSubstrateLost. The budget re-arms
+// per boundary, so it bounds losses per operation, not per process.
+// The default is 1 — each faulted phase is retried exactly once against
+// the repaired assignment; n ≤ 0 disables failover entirely (every loss
+// poisons, the pre-failover behaviour).
 func WithFailoverRetries(n int) Option {
 	return func(e *Engine) {
 		if n < 0 {
@@ -354,9 +333,7 @@ func WithFailoverRetries(n int) Option {
 // hop horizon (0 = exact). Call Build before querying.
 //
 // The per-partition engines default to the hybrid sparse backend even
-// for small partitions (denseThreshold 0): stitched queries iterate
-// intra rows constantly, and hybrid rows cost O(ball) per scan where
-// dense rows cost O(|Pi|).
+// for small partitions (denseThreshold 0).
 func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	e := &Engine{horizon: horizon, denseThreshold: 0, ellWidth: 8, failoverRetries: 1, opChunk: DefaultOpChunk, metrics: obs.Default}
 	for _, o := range opts {
@@ -388,9 +365,6 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 			panic("partition: mixed in-process and remote shards")
 		}
 		e.remote = true
-		// The coordinator holds no intra matrices for remote shards;
-		// cache-miss rows must assemble through the §V structures.
-		e.stitched = true
 	}
 	if len(e.spares) > 0 && !e.remote {
 		//lint:allow panic constructor misuse invariant; spare promotion only makes sense for remote fleets
@@ -400,12 +374,10 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	for i := range e.shardAlive {
 		e.shardAlive[i] = true
 	}
-	e.ov = newOverlay(e)
 	return e
 }
 
 func (e *Engine) initPools() {
-	e.ballPool.New = func() interface{} { return new(ballScratch) }
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 }
 
@@ -521,14 +493,14 @@ func (s *engineSource) GraphSnapshot() shard.Snapshot {
 }
 
 // Build computes every partition's intra distances (fanned across the
-// shards, each fanning across its own pool) and the overlay APSP. A
-// worker lost during a remote build is failed over like any other loss:
-// its partitions move to survivors or spares and the build retries.
+// shards, each fanning across its own pool). A worker lost during a
+// remote build is failed over like any other loss: its partitions move
+// to survivors or spares and the build retries.
 func (e *Engine) Build() {
 	e.ensureUsable()
 	e.resetFailoverBudget()
 	e.assignShards()
-	e.withFailover(nil, func() {
+	e.withFailover(func() {
 		cfg := e.shardConfig()
 		src := &engineSource{e: e}
 		owned := e.groupByShard()
@@ -552,28 +524,7 @@ func (e *Engine) Build() {
 			}
 		}
 	})
-	e.planOverlayRows()
-	e.withFailover(nil, func() { e.ov.build(e.workers) })
 	e.invalidate()
-}
-
-// planOverlayRows bulk-prefetches every partition's bridge rows ahead
-// of a full overlay (re)build — the Dijkstra fan reads exactly those
-// rows, so without the plan each one would cost a singleton /row RPC.
-// The plan runs inside its own failover boundary (and re-derives the
-// demand per attempt: recovery reassigns partitions) and records a
-// row_plan span so the prefetch cost is visible next to the phases it
-// feeds. In-process fleets skip it without a span — there is no RPC to
-// batch.
-func (e *Engine) planOverlayRows() {
-	if !e.remote {
-		return
-	}
-	start := time.Now()
-	e.withFailover(nil, func() {
-		e.prefetchPlannedRows(e.bridgeRowReqs(e.allPartIndices()))
-	})
-	e.span("row_plan", start)
 }
 
 // Close releases the shards and any unpromoted spares (remote: closes
@@ -607,137 +558,10 @@ func (e *Engine) Horizon() int { return e.horizon }
 // Exact reports whether the engine represents unbounded distances.
 func (e *Engine) Exact() bool { return e.horizon == 0 }
 
-func (e *Engine) capHops() int {
-	if e.horizon == 0 {
-		return int(shortest.Inf) - 1
-	}
-	return e.horizon
-}
-
 // oracleAlive reports whether id is represented in the partition
 // structure (it may briefly diverge from graph liveness mid-update;
 // the oracle's own state is authoritative for distance queries).
 func (e *Engine) oracleAlive(id uint32) bool { return e.part.partIndex(id) != none }
-
-// intraBall visits the intra ball of a partition-local node through the
-// owning shard (ascending local-id order).
-func (e *Engine) intraBall(pi int32, local uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) {
-	idx := int(e.shardOf[pi])
-	if err := e.shards[idx].Ball(int(pi), local, maxD, reverse, fn); err != nil {
-		e.shardFail(idx, err)
-	}
-}
-
-// intraDist returns the shortest path length from x to y using only
-// edges inside their (shared) partition; Inf when they differ.
-func (e *Engine) intraDist(x, y uint32) shortest.Dist {
-	pi := e.part.partIndex(x)
-	if pi == none || pi != e.part.partIndex(y) {
-		return shortest.Inf
-	}
-	idx := int(e.shardOf[pi])
-	d, err := e.shards[idx].Dist(int(pi), e.part.localOf[x], e.part.localOf[y])
-	if err != nil {
-		e.shardFail(idx, err)
-	}
-	return d
-}
-
-// Dist returns the stitched shortest path length from x to y.
-func (e *Engine) Dist(x, y uint32) shortest.Dist {
-	if !e.oracleAlive(x) || !e.oracleAlive(y) {
-		return shortest.Inf
-	}
-	if x == y {
-		return 0
-	}
-	H := e.capHops()
-	best := int(shortest.Inf)
-	if e.part.partIndex(x) == e.part.partIndex(y) {
-		if d := e.intraDist(x, y); d != shortest.Inf {
-			best = int(d)
-		}
-	}
-	e.exitsOf(x, H-1, func(u uint32, du shortest.Dist) {
-		e.ov.fwd.Row(u, func(b uint32, dov shortest.Dist) bool {
-			if int(du)+int(dov) >= best {
-				return true
-			}
-			if !e.part.isEntry(b) {
-				return true
-			}
-			// d_intra(b, y): only same-partition b help.
-			if e.part.partIndex(b) != e.part.partIndex(y) {
-				return true
-			}
-			if db := e.intraDist(b, y); db != shortest.Inf {
-				if t := int(du) + int(dov) + int(db); t < best {
-					best = t
-				}
-			}
-			return true
-		})
-		// b == u is not in u's overlay row; the case "exit u, then 0
-		// overlay hops" is the intra case already covered.
-	})
-	if best > H {
-		return shortest.Inf
-	}
-	return shortest.Dist(best)
-}
-
-// exitsOf visits the exit bridge nodes within maxD intra hops of x
-// (x itself included at 0 when it is an exit).
-func (e *Engine) exitsOf(x uint32, maxD int, fn func(u uint32, d shortest.Dist)) {
-	if maxD < 0 {
-		return
-	}
-	pi := e.part.partIndex(x)
-	if pi == none {
-		return
-	}
-	pt := e.part.parts[pi]
-	e.intraBall(pi, e.part.localOf[x], maxD, false, func(local uint32, d shortest.Dist) bool {
-		gid := pt.globals[local]
-		if e.part.isExit(gid) {
-			fn(gid, d)
-		}
-		return true
-	})
-}
-
-// entriesTo visits the entry bridge nodes from which y is within maxD
-// intra hops (y itself included at 0 when it is an entry).
-func (e *Engine) entriesTo(y uint32, maxD int, fn func(b uint32, d shortest.Dist)) {
-	if maxD < 0 {
-		return
-	}
-	pi := e.part.partIndex(y)
-	if pi == none {
-		return
-	}
-	pt := e.part.parts[pi]
-	e.intraBall(pi, e.part.localOf[y], maxD, true, func(local uint32, d shortest.Dist) bool {
-		gid := pt.globals[local]
-		if e.part.isEntry(gid) {
-			fn(gid, d)
-		}
-		return true
-	})
-}
-
-// WithinHops reports d(x,y) ≤ k (k must be ≤ Horizon when capped).
-func (e *Engine) WithinHops(x, y uint32, k int) bool {
-	if e.horizon != 0 && k > e.horizon {
-		//lint:allow panic API contract: k ≤ Horizon is documented; callers derive k from the same config that set the horizon
-		panic(fmt.Sprintf("partition: WithinHops(%d) beyond horizon %d", k, e.horizon))
-	}
-	d := e.Dist(x, y)
-	return d != shortest.Inf && int(d) <= k
-}
-
-// Reachable reports whether y is reachable from x within the horizon.
-func (e *Engine) Reachable(x, y uint32) bool { return e.Dist(x, y) != shortest.Inf }
 
 // ForwardBall visits {v : d(x,v) ≤ k} in ascending id order.
 func (e *Engine) ForwardBall(x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
@@ -750,7 +574,7 @@ func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist)
 }
 
 // cachedBall serves a ball query from the materialised row cache,
-// building the full-horizon stitched row on a miss. Map lookups and
+// building the full-horizon row on a miss. Map lookups and
 // installs happen under cacheMu so concurrent readers of one frozen
 // engine state stay safe; the row build itself is a pure read and runs
 // unlocked (two goroutines missing on the same source build identical
@@ -784,24 +608,12 @@ func (e *Engine) cachedBall(x uint32, k int, reverse bool, fn func(v uint32, d s
 	}
 }
 
-// buildRow materialises the full-horizon row of x for the cache. By
-// default the row comes from a bounded BFS over the data graph — exact,
-// and the cheapest way to materialise one row of the capped SLen.
-// WithStitchedQueries (forced on for remote shards) switches to
-// assembling the row from the §V structures (intra distances + bridge
-// overlay); the two agree entry for entry (enforced by tests), the
-// stitched path being what Dist uses for point queries either way.
-// buildRow only reads shared state (scratch is pooled), so rows for
-// distinct sources assemble concurrently.
+// buildRow materialises the full-horizon row of x for the cache: a
+// bounded BFS over the data graph — exact, and the cheapest way to
+// materialise one row of the capped SLen. buildRow only reads shared
+// state (scratch is pooled), so rows for distinct sources build
+// concurrently.
 func (e *Engine) buildRow(x uint32, reverse bool) []ballEntry {
-	if e.stitched {
-		var row []ballEntry
-		e.ballInto(x, e.capHops(), reverse, func(v uint32, d shortest.Dist) bool {
-			row = append(row, ballEntry{v, d})
-			return true
-		})
-		return row
-	}
 	gb := e.gballPool.Get().(*shortest.GraphBall)
 	cols, dists := gb.Row(e.part.g, x, e.horizon, reverse) // horizon 0 = unbounded
 	row := make([]ballEntry, len(cols))
@@ -819,9 +631,7 @@ func (e *Engine) buildRow(x uint32, reverse bool) []ballEntry {
 // every member — so pre-warming converts its serial on-demand row
 // builds into one parallel sweep. Forward rows stay lazy: only the
 // change-log nodes that are also label candidates get forward queries,
-// so warming them would be speculative work. In-process only — remote
-// fleets keep even the reverse rows lazy and instead bulk-plan their
-// shard-row inputs (PrefetchBallRows), so the lazy builds are RPC-free.
+// so warming them would be speculative work.
 func (e *Engine) prefetchRows(ids nodeset.Set) {
 	if len(ids) == 0 {
 		return
@@ -853,107 +663,15 @@ func (e *Engine) prefetchRows(ids nodeset.Set) {
 	e.cacheMu.Unlock()
 }
 
-// ballScratch is epoch-stamped scratch for stitched ball queries:
-// visiting is O(touched), not O(|N|), with no per-call maps. Instances
-// are pooled so concurrent stitched-row builds never share one.
-type ballScratch struct {
-	dist  []shortest.Dist
-	stamp []uint32
-	epoch uint32
-	ids   []uint32
-}
-
-func (s *ballScratch) begin(n int) {
-	for len(s.dist) < n {
-		s.dist = append(s.dist, 0)
-		s.stamp = append(s.stamp, 0)
-	}
-	s.epoch++
-	s.ids = s.ids[:0]
-}
-
-func (s *ballScratch) merge(id uint32, d shortest.Dist) {
-	if int(id) >= len(s.stamp) {
-		grow := int(id) + 1 - len(s.stamp)
-		s.dist = append(s.dist, make([]shortest.Dist, grow)...)
-		s.stamp = append(s.stamp, make([]uint32, grow)...)
-	}
-	if s.stamp[id] != s.epoch {
-		s.stamp[id] = s.epoch
-		s.dist[id] = d
-		s.ids = append(s.ids, id)
-	} else if d < s.dist[id] {
-		s.dist[id] = d
-	}
-}
-
-func (e *Engine) ballInto(x uint32, k int, reverse bool, fn func(v uint32, d shortest.Dist) bool) {
-	if !e.oracleAlive(x) || k < 0 {
-		return
-	}
-	if e.horizon != 0 && k > e.horizon {
-		k = e.horizon
-	}
-	sc := e.ballPool.Get().(*ballScratch)
-	sc.begin(e.part.g.NumIDs())
-	merge := sc.merge
-	// Intra segment.
-	pi := e.part.partIndex(x)
-	pt := e.part.parts[pi]
-	e.intraBall(pi, e.part.localOf[x], k, reverse, func(local uint32, d shortest.Dist) bool {
-		merge(pt.globals[local], d)
-		return true
-	})
-	// Overlay-mediated segments.
-	bridgesNear := e.exitsOf
-	ovRow := e.ov.fwd
-	farEnd := e.part.isEntry
-	if reverse {
-		bridgesNear = e.entriesTo
-		ovRow = e.ov.rev
-		farEnd = e.part.isExit
-	}
-	bridgesNear(x, k-1, func(u uint32, du shortest.Dist) {
-		ovRow.Row(u, func(b uint32, dov shortest.Dist) bool {
-			rem := k - int(du) - int(dov)
-			if rem < 0 || !farEnd(b) {
-				return true
-			}
-			bpi := e.part.partIndex(b)
-			bp := e.part.parts[bpi]
-			e.intraBall(bpi, e.part.localOf[b], rem, reverse, func(local uint32, d shortest.Dist) bool {
-				merge(bp.globals[local], du+dov+d)
-				return true
-			})
-			return true
-		})
-	})
-	// Snapshot before emitting, releasing the scratch first: callbacks may
-	// issue nested ball queries (the elimination cascade does), and the
-	// snapshot keeps them from observing a half-consumed scratch.
-	out := make([]ballEntry, len(sc.ids))
-	for i, id := range sc.ids {
-		out[i] = ballEntry{id, sc.dist[id]}
-	}
-	e.ballPool.Put(sc)
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	for _, en := range out {
-		if !fn(en.id, en.d) {
-			return
-		}
-	}
-}
-
 type ballEntry struct {
 	id uint32
 	d  shortest.Dist
 }
 
 // conservativeEdgeAffected is the ball superset used as the affected set
-// of an edge update (shard.EdgeAffected with pooled scratch). The balls
-// come from a direct BFS over the data graph — the graph always reflects
-// the same state as the oracle, and adjacency BFS is far cheaper than
-// stitching. Read-only: safe to evaluate for many updates concurrently.
+// of an edge update (shard.EdgeAffected with pooled scratch), read off
+// the data graph by BFS. Read-only: safe to evaluate for many updates
+// concurrently.
 func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 	gb := e.gballPool.Get().(*shortest.GraphBall)
 	s := shard.EdgeAffected(gb, e.part.g, u, v, e.horizon)
@@ -972,20 +690,15 @@ func (e *Engine) PreviewInsertEdge(u, v uint32) nodeset.Set {
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
 	e.ensureUsable()
 	e.resetFailoverBudget()
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageInsertEdge(u, v, &dirty)}, &dirty)
-	if dirty.Len() > 0 {
-		e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
-	}
+	e.applyOps([]shard.Op{e.stageInsertEdge(u, v)})
 	e.invalidate()
 	return e.conservativeEdgeAffected(u, v)
 }
 
 // stageInsertEdge records edge (u,v) in the coordinator's partition
-// structures (the graph must already contain it), accumulating dirty
-// overlay anchors for the cross case, and returns the op the owning
-// shard must apply.
-func (e *Engine) stageInsertEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
+// structures (the graph must already contain it) and returns the op the
+// owning shard must apply.
+func (e *Engine) stageInsertEdge(u, v uint32) shard.Op {
 	op := shard.Op{Kind: shard.OpEdgeInsert, From: u, To: v, Part: -1, Shard: -1}
 	pu, pv := e.part.partIndex(u), e.part.partIndex(v)
 	if pu == pv {
@@ -995,41 +708,19 @@ func (e *Engine) stageInsertEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
 		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(e.shardOf[pu]), lu, lv
 	} else {
 		e.part.noteCross(u, v, +1)
-		dirty.Add(u)
-		dirty.Add(v)
 	}
 	return op
 }
 
-// dirtyBridges translates a partition-local affected set into the global
-// bridge nodes whose overlay rows must be refreshed.
-func (e *Engine) dirtyBridges(pt *part, localAff nodeset.Set, dirty *nodeset.Builder) {
-	for _, local := range localAff {
-		gid := pt.globals[local]
-		if e.part.isOverlay(gid) {
-			dirty.Add(gid)
-		}
-	}
-}
-
-// settleOp folds one op's shard-side affected set into the dirty
-// overlay anchors.
-func (e *Engine) settleOp(op shard.Op, aff []uint32, dirty *nodeset.Builder) {
-	if op.Part < 0 || op.Kind == shard.OpNodeInsert {
-		return
-	}
-	e.dirtyBridges(e.part.parts[op.Part], aff, dirty)
-}
-
-// applyOps hands staged ops to the shards and settles their affected
-// sets. In-process shards receive only the ops they own, one batch in
-// op order; remote shards each receive the full stream (replica-only
-// ops included) in one epoch-fenced RPC, overlapped across shards. The
-// remote flush is failover-protected: a worker lost mid-flush is
-// quarantined, its partitions rebuilt from the coordinator's mirrors,
-// and the same epoch re-flushed — survivors that already applied it
-// answer their recorded sets, so nothing double-applies.
-func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
+// applyOps hands staged ops to the shards. In-process shards receive
+// only the ops they own, one at a time in op order; remote shards each
+// receive the full stream (replica-only ops included) in one
+// epoch-fenced RPC, overlapped across shards. The remote flush is
+// failover-protected: a worker lost mid-flush is quarantined, its
+// partitions rebuilt from the coordinator's mirrors, and the same epoch
+// re-flushed — survivors that already applied it acknowledge without
+// re-applying.
+func (e *Engine) applyOps(ops []shard.Op) {
 	if len(ops) == 0 {
 		return
 	}
@@ -1041,55 +732,30 @@ func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 			// In-process shards are always *shard.Local; the single-op
 			// fast path keeps phase 2 allocation-free like the monolith.
 			if l, ok := e.shards[op.Shard].(*shard.Local); ok {
-				e.settleOp(op, l.ApplyOp(op), dirty)
+				l.ApplyOp(op)
 				continue
 			}
-			aff, err := e.shards[op.Shard].ApplyOps(0, []shard.Op{op}, nil)
-			if err != nil {
+			if err := e.shards[op.Shard].ApplyOps(0, []shard.Op{op}); err != nil {
 				e.shardFail(op.Shard, err)
 			}
-			e.settleOp(op, aff[0], dirty)
 		}
 		return
 	}
 	epoch := e.nextOpEpoch()
-	// The warm demand is planned inside the failover boundary: a retry
-	// after recovery re-plans against the repaired shard assignment.
-	e.withFailover(dirty, func() { e.flushOps(epoch, ops, e.opsRowDemand(ops), dirty) })
+	e.withFailover(func() { e.flushOps(epoch, ops) })
 }
 
-// flushOps sends one epoch's ops to every alive remote shard and
-// settles the returned affected sets into dirty. Settling is idempotent
-// (dirty has set semantics), so a failover retry of the same epoch is
-// safe; ops whose owning slot is dead settle nothing — the recovery
-// compensates by dirtying the reassigned partitions' bridge anchors
-// conservatively.
-//
-// warm is the row demand piggybacked on the RPC — the bridge and
-// source rows the phases right after the flush will read, so the flush
-// response refills exactly the rows it invalidated. The op-log streamer
-// passes nil for intermediate chunks (their rows would be invalidated
-// again by the next chunk) and the full batch demand on the final one.
-func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, dirty *nodeset.Builder) {
-	affs := make([][][]uint32, len(e.shards))
+// flushOps sends one epoch's ops to every alive remote shard. A
+// failover retry of the same epoch is safe: the worker-side fence
+// acknowledges an epoch it already reflects without re-applying.
+func (e *Engine) flushOps(epoch uint64, ops []shard.Op) {
 	alive := e.aliveIndices()
 	parallelFor(len(alive), len(alive), func(k int) {
 		s := alive[k]
-		var w []shard.RowReq
-		if s < len(warm) {
-			w = warm[s]
-		}
-		aff, err := e.shards[s].ApplyOps(epoch, ops, w)
-		if err != nil {
+		if err := e.shards[s].ApplyOps(epoch, ops); err != nil {
 			e.shardFail(s, err)
 		}
-		affs[s] = aff
 	})
-	for i, op := range ops {
-		if op.Shard >= 0 && affs[op.Shard] != nil && affs[op.Shard][i] != nil {
-			e.settleOp(op, affs[op.Shard][i], dirty)
-		}
-	}
 }
 
 // PreviewDeleteEdge returns the affected superset for deleting (u,v)
@@ -1105,17 +771,15 @@ func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
 	e.ensureUsable()
 	e.resetFailoverBudget()
 	aff := e.conservativeEdgeAffected(u, v)
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageDeleteEdge(u, v, &dirty)}, &dirty)
-	e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
+	e.applyOps([]shard.Op{e.stageDeleteEdge(u, v)})
 	e.invalidate()
 	return aff
 }
 
 // stageDeleteEdge removes edge (u,v) from the coordinator's partition
-// structures (the graph must already have dropped it), accumulating
-// dirty anchors, and returns the op for the owning shard.
-func (e *Engine) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
+// structures (the graph must already have dropped it) and returns the
+// op for the owning shard.
+func (e *Engine) stageDeleteEdge(u, v uint32) shard.Op {
 	op := shard.Op{Kind: shard.OpEdgeDelete, From: u, To: v, Part: -1, Shard: -1}
 	pu, pv := e.part.partIndex(u), e.part.partIndex(v)
 	if pu == pv {
@@ -1123,12 +787,8 @@ func (e *Engine) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
 		lu, lv := e.part.localOf[u], e.part.localOf[v]
 		pt.sub.RemoveEdge(lu, lv)
 		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(e.shardOf[pu]), lu, lv
-		dirty.Add(u)
-		dirty.Add(v)
 	} else {
 		e.part.noteCross(u, v, -1)
-		dirty.Add(u)
-		dirty.Add(v)
 	}
 	return op
 }
@@ -1137,8 +797,7 @@ func (e *Engine) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
 func (e *Engine) InsertNode(id uint32) nodeset.Set {
 	e.ensureUsable()
 	e.resetFailoverBudget()
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageInsertNode(id)}, &dirty)
+	e.applyOps([]shard.Op{e.stageInsertNode(id)})
 	e.invalidate()
 	return nodeset.New(id)
 }
@@ -1184,28 +843,22 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 		}
 	}
 	aff := e.nodeAffected(id, outs, ins)
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageDeleteNode(id, removed, &dirty)}, &dirty)
-	e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
+	e.applyOps([]shard.Op{e.stageDeleteNode(id, removed)})
 	e.invalidate()
 	return aff
 }
 
 // stageDeleteNode removes node id from the coordinator's partition
 // structures (the graph must already have dropped it and its incident
-// edges, passed as removed), accumulating dirty anchors, and returns
-// the op for the owning shard.
-func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset.Builder) shard.Op {
+// edges, passed as removed) and returns the op for the owning shard.
+func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge) shard.Op {
 	pi := e.part.partIndex(id)
 	pt := e.part.parts[pi]
-	dirty.Add(id)
 	for _, ed := range removed {
 		if e.part.partIndex(ed.From) == e.part.partIndex(ed.To) {
 			continue // intra edges fall with RemoveNode below
 		}
 		e.part.noteCross(ed.From, ed.To, -1)
-		dirty.Add(ed.From)
-		dirty.Add(ed.To)
 	}
 	local := e.part.localOf[id]
 	removedLocal, _ := pt.sub.RemoveNode(local)
@@ -1221,7 +874,7 @@ func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset
 }
 
 // EnsureHorizon widens a capped engine to cover bound k, rebuilding the
-// per-partition engines (shard-side) and the overlay.
+// per-partition engines (shard-side).
 func (e *Engine) EnsureHorizon(k int) {
 	if e.horizon == 0 || k <= e.horizon {
 		return
@@ -1230,7 +883,7 @@ func (e *Engine) EnsureHorizon(k int) {
 	e.resetFailoverBudget()
 	e.horizon = k
 	e.part.horizon = k
-	e.withFailover(nil, func() {
+	e.withFailover(func() {
 		if e.remote {
 			alive := e.aliveIndices()
 			parallelFor(len(alive), len(alive), func(j int) {
@@ -1247,8 +900,6 @@ func (e *Engine) EnsureHorizon(k int) {
 			}
 		}
 	})
-	e.planOverlayRows()
-	e.withFailover(nil, func() { e.ov.build(e.workers) })
 	e.invalidate()
 }
 
@@ -1262,7 +913,6 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 		horizon:         e.horizon,
 		denseThreshold:  e.denseThreshold,
 		ellWidth:        e.ellWidth,
-		stitched:        e.stitched,
 		workers:         e.workers,
 		failoverRetries: e.failoverRetries,
 		// The clone shares the parent's registry but not its trace sink:
@@ -1312,26 +962,22 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	for i := range c.shardAlive {
 		c.shardAlive[i] = true
 	}
-	c.ov = newOverlay(c)
-	c.ov.fwd = e.ov.fwd.Clone()
-	c.ov.rev = e.ov.rev.Clone()
 	return c
 }
 
 // remoteAffected computes the batch's conservative affected balls on
-// the remote shards' data-graph replicas. It follows the same bulk
-// contract as the row plane: the whole phase issues exactly ONE
-// /affected RPC per alive shard (requests sliced round-robin across the
-// fleet), the per-shard calls run concurrently on the coordinator, and
-// each worker fans its slice across its own pool — so phase latency is
-// one round trip plus the slowest slice, never a per-update loop.
-// phase4 selects the insertion (post-state) pass; otherwise the
-// deletion (pre-state) pass runs.
-func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, phase4 bool, applied []bool, perUpdate []nodeset.Set) {
+// the remote shards' data-graph replicas. The whole phase issues
+// exactly ONE /affected RPC per alive shard (requests sliced
+// round-robin across the fleet), the per-shard calls run concurrently
+// on the coordinator, and each worker fans its slice across its own
+// pool — so phase latency is one round trip plus the slowest slice,
+// never a per-update loop. post selects the insertion (post-state)
+// pass; otherwise the deletion (pre-state) pass runs.
+func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, post bool, applied []bool, perUpdate []nodeset.Set) {
 	var reqs []shard.AffectedReq
 	var idx []int
 	for i, u := range ds {
-		if !phase4 {
+		if !post {
 			switch u.Kind {
 			case updates.DataEdgeDelete:
 				if g.HasEdge(u.From, u.To) {

@@ -4,8 +4,7 @@ package partition_test
 // each phase of ApplyDataBatch separately and pin that the batch still
 // completes with results bit-for-bit equal to a Scratch session — the
 // recovery rebuilt the lost partitions from the coordinator's mirrors,
-// the epoch fence kept the survivor from double-applying, and the
-// conservative anchor compensation kept the overlay exact. Run under
+// and the epoch fence kept the survivor from double-applying. Run under
 // -race (the tier-1 gate does): the kill switch flips on a handler
 // goroutine while pool workers fan requests.
 
@@ -96,7 +95,7 @@ func failoverInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
 // mixedBatch builds a deterministic data batch with at least nDel edge
 // deletions and nIns insertions against g's current state — deletions
 // drive phase 1 (pre-state balls), the op flush is phase 2, insertions
-// drive phase 4 (post-state balls). Deletions come first and the two
+// drive phase 3 (post-state balls). Deletions come first and the two
 // sets are disjoint, so application order cannot interfere.
 func mixedBatch(g *graph.Graph, rng *rand.Rand, nDel, nIns int) []updates.Update {
 	var ds []updates.Update
@@ -182,7 +181,7 @@ func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 
 // TestFailoverKillDuringPhases is the tentpole pin: killing one of two
 // workers during ApplyDataBatch phase 1 (pre-state affected balls),
-// phase 2 (the op flush) and phase 4 (post-state affected balls) —
+// phase 2 (the op flush) and phase 3 (post-state affected balls) —
 // separately, at serial and wide worker bounds — leaves the batch
 // completed, the results equal to Scratch, the engine unpoisoned, and
 // exactly one recovery recorded; subsequent batches run on the
@@ -194,7 +193,7 @@ func TestFailoverKillDuringPhases(t *testing.T) {
 		skip int
 	}{
 		// A worker serves one /affected per ball phase: the first
-		// matching request dies in phase 1, skipping it dies in phase 4.
+		// matching request dies in phase 1, skipping it dies in phase 3.
 		{"phase1-prestate-balls", "/affected", 0},
 		{"phase2-op-flush", "/ops", 0},
 		{"phase4-poststate-balls", "/affected", 1},

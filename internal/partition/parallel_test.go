@@ -21,7 +21,7 @@ func parallelConfigs() []engineConfig {
 	return []engineConfig{
 		{"serial", []Option{WithWorkers(1)}},
 		{"workers4", []Option{WithWorkers(4)}},
-		{"workers8-stitched", []Option{WithWorkers(8), WithStitchedQueries()}},
+		{"workers8", []Option{WithWorkers(8)}},
 	}
 }
 
@@ -40,9 +40,9 @@ func drive(t *testing.T, e *Engine, g *graph.Graph, seed int64, nBatches, perBat
 }
 
 // TestParallelEngineMatchesSerial drives identical random batch streams
-// through a serial engine and parallel engines (BFS-cached and stitched)
-// and requires identical distances, ball rows and change logs after
-// every batch — the differential guard for the worker pool.
+// through a serial engine and parallel engines and requires identical
+// distances, ball rows and change logs after every batch — the
+// differential guard for the worker pool.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	horizons := []int{0, 3}
 	trials := 4
@@ -86,15 +86,18 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 }
 
 // assertEnginesAgree compares two engines entry for entry: all-pairs
-// Dist plus full forward/reverse rows for every node.
+// row distances plus full forward/reverse rows for every node.
 func assertEnginesAgree(t *testing.T, want, got *Engine, g *graph.Graph, name string) {
 	t.Helper()
 	n := g.NumIDs()
-	k := want.capHops()
+	k := want.Horizon()
+	if k == 0 {
+		k = int(shortest.Inf) - 1
+	}
 	for x := uint32(0); int(x) < n; x++ {
 		for y := uint32(0); int(y) < n; y++ {
-			if dw, dg := want.Dist(x, y), got.Dist(x, y); dw != dg {
-				t.Fatalf("%s: Dist(%d,%d) = %d, serial %d", name, x, y, dg, dw)
+			if dw, dg := rowDist(want, x, y), rowDist(got, x, y); dw != dg {
+				t.Fatalf("%s: d(%d,%d) = %d, serial %d", name, x, y, dg, dw)
 			}
 		}
 		for _, reverse := range []bool{false, true} {

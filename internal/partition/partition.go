@@ -6,8 +6,7 @@
 // observation, after Brandes et al., is that same-role nodes connect
 // densely, so most edges are intra-partition. Each partition keeps its
 // own induced subgraph with a private SLen engine (intra-partition
-// distances), and the partitions are glued by a weighted overlay graph
-// over the bridge nodes:
+// distances), and the partitions meet at the bridge nodes:
 //
 //   - inner bridge node of Pi (Def. 1): a node of Pi with an out-edge
 //     leaving Pi ("exit");
@@ -15,11 +14,12 @@
 //     edge from Pi — equivalently, a node with an in-edge from another
 //     partition ("entry" of its own partition).
 //
-// Cross-partition distances are answered by stitching: intra distance to
-// an exit, overlay distance between bridge nodes, intra distance from an
-// entry (see engine.go). Unlike the paper's literal Algorithms 4–5,
-// which stitch a single bridge hop, the overlay formulation is exact —
-// see DESIGN.md §4 for the substitution rationale.
+// The matcher asks the substrate only for bounded balls, and the Engine
+// answers every ball — cross-partition ones included — by bounded BFS
+// over the data graph (see engine.go). The paper's Algorithms 4–5
+// stitch cross-partition distances out of intra distances and bridge
+// hops instead; the engine does not, because measured, stitched rows
+// never beat BFS rows (see EXPERIMENTS.md).
 package partition
 
 import (
@@ -155,21 +155,6 @@ func (p *Partitioning) noteCross(u, v uint32, delta int32) {
 			pt.entries = removeSortedU32(pt.entries, v)
 		}
 	}
-}
-
-// isExit reports whether id is an inner bridge node of its partition.
-func (p *Partitioning) isExit(id uint32) bool {
-	return int(id) < len(p.crossOut) && p.crossOut[id] > 0
-}
-
-// isEntry reports whether id receives a cross-partition edge.
-func (p *Partitioning) isEntry(id uint32) bool {
-	return int(id) < len(p.crossIn) && p.crossIn[id] > 0
-}
-
-// isOverlay reports whether id participates in the overlay graph.
-func (p *Partitioning) isOverlay(id uint32) bool {
-	return p.isExit(id) || p.isEntry(id)
 }
 
 // partIndex returns the part index of a global id (none when dead).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shard"
 )
 
@@ -14,9 +13,9 @@ import (
 // poison into a repaired assignment and a retried phase.
 //
 // Why the coordinator can always recover: it never delegates state it
-// cannot reproduce. The data graph, the per-partition subgraph mirrors,
-// the bridge bookkeeping and the overlay all live coordinator-side; a
-// shard only holds the intra SLen engines *derived* from those mirrors.
+// cannot reproduce. The data graph, the per-partition subgraph mirrors
+// and the bridge bookkeeping all live coordinator-side; a shard only
+// holds the intra SLen engines *derived* from those mirrors.
 // Coordinator staging also strictly precedes every shard flush, so at
 // any fault the mirrors reflect the full in-flight batch and a rebuild
 // from them is exactly the state the dead worker would have reached.
@@ -40,38 +39,10 @@ import (
 //     snapshots only; their replica and fence survive, and the epoch
 //     fence reconciles whether or not they had applied the in-flight
 //     flush before the loss).
-//  4. Compensate. The dead workers' in-flight affected sets are gone,
-//     so every partition they owned has its bridge anchors added to
-//     the batch's dirty set — a conservative superset that makes the
-//     overlay reconciliation recompute those rows from scratch.
 //
 // The caller then retries the faulted phase against the repaired
 // assignment. Terminal poison (shard.ErrSubstrateLost) remains the
 // fallback when nothing survives or the per-mutation budget is spent.
-
-// WithReadFailover runs a read-only phase with shard losses repairable:
-// a worker lost mid-read is quarantined, its partitions rebuilt from
-// the coordinator's mirrors (identical distances — reads mutate
-// nothing, so no op replay or overlay compensation is needed), and fn
-// is retried against the repaired assignment. This extends failover
-// beyond the mutation phases to the read fan-outs that bracket them —
-// a hub's initial query on Register, the per-pattern detection and
-// amendment fan of a batch — which is where a loss surfaces when it
-// happens between batches.
-//
-// Caller contract: the caller must hold exclusive access to the engine
-// (no other goroutine reading it — the engine edits the shard table
-// during recovery), fn must not mutate the engine, and fn must be
-// idempotent — it re-runs wholesale after a repair, so it must
-// overwrite its outputs rather than accumulate. Each call is its own
-// failover boundary (fresh WithFailoverRetries budget). On exhaustion
-// it panics with the sticky loss exactly like the query surface;
-// convert with RecoverSubstrateLoss at an error boundary.
-func (e *Engine) WithReadFailover(fn func()) {
-	e.ensureUsable()
-	e.resetFailoverBudget()
-	e.withFailover(nil, fn)
-}
 
 // ShardProbe is a snapshot of one alive shard slot, taken for an
 // off-path health probe: the slot index plus the exact client serving
@@ -109,17 +80,16 @@ func (e *Engine) ShardProbes() []ShardProbe {
 // exclusive access to the engine. A probe overtaken by an interleaved
 // recovery — the slot already quarantined, or serving a different
 // client than the one probed — is skipped (reported false): the fleet
-// the probe described no longer exists. No overlay compensation is
-// needed (nothing was in flight), matching read-phase recoveries. On
-// unrecoverable loss the engine poisons exactly as a mid-batch fault
-// would; convert with RecoverSubstrateLoss at the caller's boundary.
+// the probe described no longer exists. On unrecoverable loss the
+// engine poisons exactly as a mid-batch fault would; convert with
+// RecoverSubstrateLoss at the caller's boundary.
 func (e *Engine) SweepRepair(p ShardProbe, pingErr error) bool {
 	e.ensureUsable()
 	if p.Idx < 0 || p.Idx >= len(e.shards) || !e.shardAlive[p.Idx] || e.shards[p.Idx] != p.Shard {
 		return false
 	}
 	e.resetFailoverBudget()
-	e.recoverFault(&shardFault{idx: p.Idx, err: pingErr}, nil)
+	e.recoverFault(&shardFault{idx: p.Idx, err: pingErr})
 	return true
 }
 
@@ -146,11 +116,9 @@ func (e *Engine) runRecoverable(phase func()) (f *shardFault) {
 // withFailover runs phase, repairing the shard assignment and retrying
 // on loss until the phase completes or the recovery budget is spent.
 // Phases must be idempotent against the coordinator's own state (every
-// protected phase is: reads overwrite their outputs, the op flush is
-// epoch-fenced, dirty accumulation has set semantics). dirty, when
-// non-nil, receives the conservative bridge anchors of partitions whose
-// in-flight affected sets died with their worker.
-func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
+// protected phase is: ball phases overwrite their outputs, the op flush
+// is epoch-fenced).
+func (e *Engine) withFailover(phase func()) {
 	if !e.remote {
 		// In-process shards never fail operationally; keep the serial
 		// path bit-for-bit.
@@ -162,7 +130,7 @@ func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 		if f == nil {
 			return
 		}
-		e.recoverFault(f, dirty)
+		e.recoverFault(f)
 	}
 }
 
@@ -173,7 +141,7 @@ func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 // (whose faults are recorded off the critical path and repaired at the
 // phase join) and the proactive health sweep (which discovers losses
 // between batches instead of by the next batch's first RPC).
-func (e *Engine) recoverFault(f *shardFault, dirty *nodeset.Builder) {
+func (e *Engine) recoverFault(f *shardFault) {
 	if e.recoveryBudget <= 0 {
 		e.poison(f.err)
 	}
@@ -181,7 +149,7 @@ func (e *Engine) recoverFault(f *shardFault, dirty *nodeset.Builder) {
 	e.recoveringFlag.Store(true)
 	e.metrics.Counter("gpnm_recovery_retries_total").Inc()
 	recoveryStart := time.Now()
-	err := e.recoverShards(f, dirty)
+	err := e.recoverShards(f)
 	e.span("recovery", recoveryStart)
 	e.recoveringFlag.Store(false)
 	if err != nil {
@@ -196,9 +164,8 @@ func (e *Engine) recoverFault(f *shardFault, dirty *nodeset.Builder) {
 // It loops until a pass completes with every build/rebuild succeeding —
 // workers that die during recovery simply join the dead set of the next
 // pass — or until no serving capacity remains.
-func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
+func (e *Engine) recoverShards(f *shardFault) error {
 	suspect := map[int]bool{f.idx: true}
-	lostParts := map[int]bool{} // partitions owned by a slot at the moment it died
 	for pass := 0; ; pass++ {
 		if pass > len(e.shards)+len(e.spares)+1 {
 			return errors.New("recovery did not converge")
@@ -221,11 +188,6 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 			//lint:allow faultseam best-effort close of a quarantined slot; the controller already treats it as dead
 			_ = e.shards[i].Close()
 			e.metrics.Counter("gpnm_recovery_quarantined_total").Inc()
-			for p, s := range e.shardOf {
-				if int(s) == i {
-					lostParts[p] = true
-				}
-			}
 		}
 		suspect = map[int]bool{}
 		e.span("recovery_probe", probeStart)
@@ -299,27 +261,6 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 			continue
 		}
 
-		// 5. Conservative compensation for the dead workers' lost
-		// affected sets: dirty every bridge anchor of every partition
-		// they owned, so the overlay reconciliation recomputes those
-		// rows from scratch. Needed only when an op flush was in
-		// flight (dirty != nil there); read-phase recoveries rebuild
-		// identical intra state and leave the overlay valid.
-		if dirty != nil {
-			for p := range lostParts {
-				pt := e.part.parts[p]
-				for _, x := range pt.exits {
-					dirty.Add(x)
-				}
-				for _, x := range pt.entries {
-					dirty.Add(x)
-				}
-			}
-		}
-		// Rebuilt engines mean previously cached stitched rows may have
-		// been built against a now-dead worker mid-phase; drop them so
-		// the retry assembles everything against the repaired fleet.
-		e.invalidate()
 		return nil
 	}
 }

@@ -50,7 +50,7 @@ func shardLayouts(t testing.TB, g *graph.Graph, horizon int) map[string]struct {
 }
 
 // TestBridgeNodeDeletedMidBatch deletes bridge nodes in the middle of a
-// batch — an exit (SE2) whose removal rewires the overlay, sandwiched
+// batch — an exit (SE2) whose removal changes cross-partition paths, sandwiched
 // between updates that depend on the partition bookkeeping staying
 // coherent — and checks the full oracle against a fresh global engine,
 // for every shard layout.
@@ -61,8 +61,8 @@ func TestBridgeNodeDeletedMidBatch(t *testing.T) {
 		batch := []updates.Update{
 			{Kind: updates.DataEdgeInsert, From: ids["TE3"], To: ids["TE1"]},
 			// SE2 is an inner bridge node of PSE (cross edge SE2→TE1):
-			// deleting it mid-batch drops intra rows, bridge status and
-			// overlay anchors at once.
+			// deleting it mid-batch drops intra rows and bridge status
+			// at once.
 			{Kind: updates.DataNodeDelete, Node: ids["SE2"]},
 			{Kind: updates.DataEdgeInsert, From: ids["SE1"], To: ids["SE3"]},
 			{Kind: updates.DataNodeInsert, Node: uint32(g.NumIDs()), Labels: []string{"SE"}},
@@ -106,31 +106,28 @@ func TestDeleteNodeEmptiesShardPartition(t *testing.T) {
 		g.AddEdge(pm2, ids["SE4"])
 		e.InsertEdge(pm2, ids["SE4"])
 		assertOracleAgrees(t, e, g, 0, -102)
-		if d := e.Dist(ids["SE1"], ids["SE4"]); d != 2 {
+		if d := rowDist(e, ids["SE1"], ids["SE4"]); d != 2 {
 			t.Fatalf("%s: d(SE1,SE4) through the repopulated partition = %v, want 2", name, d)
 		}
 	}
 }
 
-// TestDirtyBridgesIntraDeletion pins the dirtyBridges path: deleting an
-// intra-partition edge that lengthens a bridge node's intra distances
-// must propagate through the shard's local affected set into the
-// overlay, changing cross-partition distances accordingly.
+// TestDirtyBridgesIntraDeletion: deleting an intra-partition edge that
+// lengthens a bridge node's intra distances must change cross-partition
+// distances accordingly, with the shards' intra engines kept in sync.
 func TestDirtyBridgesIntraDeletion(t *testing.T) {
 	base, ids := fig4Graph()
 	for name, lay := range shardLayouts(t, base, 0) {
 		g, e := lay.g, lay.e
 		// Before: SE1 →(intra) SE2 →(cross) TE1, so d(SE1,TE1) = 2.
-		if d := e.Dist(ids["SE1"], ids["TE1"]); d != 2 {
+		if d := rowDist(e, ids["SE1"], ids["TE1"]); d != 2 {
 			t.Fatalf("%s: pre-state d(SE1,TE1) = %v, want 2", name, d)
 		}
-		// Deleting intra edge SE1→SE2 only touches PSE's shard engine;
-		// the overlay hears about it exclusively via dirtyBridges
-		// translating the shard's local affected set (SE1 and SE2 are
-		// both bridge nodes whose entry→exit hop just vanished).
+		// Deleting intra edge SE1→SE2 touches only PSE's shard engine,
+		// yet it cuts the only route from SE1 out to TE1.
 		g.RemoveEdge(ids["SE1"], ids["SE2"])
 		e.DeleteEdge(ids["SE1"], ids["SE2"])
-		if d := e.Dist(ids["SE1"], ids["TE1"]); d != shortest.Inf {
+		if d := rowDist(e, ids["SE1"], ids["TE1"]); d != shortest.Inf {
 			t.Fatalf("%s: post-state d(SE1,TE1) = %v, want Inf", name, d)
 		}
 		assertOracleAgrees(t, e, g, 0, -103)
@@ -139,9 +136,8 @@ func TestDirtyBridgesIntraDeletion(t *testing.T) {
 
 // TestBatchEmptiesWholePartition drives ApplyDataBatch until one
 // partition has no live members left and the batch also rewired other
-// partitions — the "shard left empty" regression: stitched queries and
-// the overlay must cope with a partition whose engine holds only
-// tombstones.
+// partitions — the "shard left empty" regression: the engine must cope
+// with a partition whose intra engine holds only tombstones.
 func TestBatchEmptiesWholePartition(t *testing.T) {
 	base, ids := fig4Graph()
 	for name, lay := range shardLayouts(t, base, 0) {
@@ -165,7 +161,7 @@ func TestBatchEmptiesWholePartition(t *testing.T) {
 		g.AddEdge(ids["SE2"], te)
 		e.InsertEdge(ids["SE2"], te)
 		assertOracleAgrees(t, e, g, 0, -105)
-		if d := e.Dist(ids["SE1"], te); d != 2 {
+		if d := rowDist(e, ids["SE1"], te); d != 2 {
 			t.Fatalf("%s: d(SE1, new TE) = %v, want 2", name, d)
 		}
 	}

@@ -3,7 +3,6 @@ package partition
 import (
 	"time"
 
-	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shard"
 )
 
@@ -20,22 +19,16 @@ import (
 //     (nextOpEpoch is single-writer), strictly increasing per chunk, so
 //     the per-worker fence reconciles retries chunk by chunk.
 //   - The flusher only performs RPCs. It never reads the partition
-//     structures the staging goroutine is mutating — affected sets are
-//     carried back raw and settled at finish(), on the mutation
-//     goroutine, against post-staging state (the same state the old
-//     end-of-phase settle saw).
+//     structures the staging goroutine is mutating.
 //   - A fault does not trigger recovery on the flusher (recovery reads
 //     and edits coordinator state mid-mutation). The flusher stalls:
 //     the faulted chunk and everything after it accumulate unapplied,
 //     and finish() repairs the fleet once staging is complete — the
 //     rebuild fence (Config.Epoch = the last sealed epoch) then marks
 //     the mirrors as containing every chunk, and the stalled chunks
-//     re-flush under the ordinary failover boundary. Survivors answer
-//     below-fence epochs with recorded or empty sets (see
+//     re-flush under the ordinary failover boundary. Survivors
+//     acknowledge at-or-below-fence epochs without re-applying (see
 //     shard/server.go), so nothing double-applies.
-//   - The warm-row piggyback rides only the final chunk, covering the
-//     whole batch's demand: intermediate chunks would have their warm
-//     rows invalidated again by the very next chunk.
 
 // DefaultOpChunk is the op-stream chunk size when WithOpChunk is unset:
 // small enough that a typical batch streams several chunks, large
@@ -52,25 +45,16 @@ type opChunk struct {
 	ops   []shard.Op
 }
 
-// appliedChunk is a flushed chunk with the raw per-shard affected sets,
-// awaiting settlement at the phase join.
-type appliedChunk struct {
-	c    opChunk
-	affs [][][]uint32 // by shard slot, then op index
-}
-
 // opStreamer owns phase 2's remote op flow for one batch.
 type opStreamer struct {
 	e     *Engine
 	chunk int // seal threshold; ≤ 0 streams nothing (single final flush)
-	all   []shard.Op
 	pend  []shard.Op
 	ch    chan opChunk
 	join  chan struct{}
 
 	// Flusher-owned until join (the channel close + join receive order
 	// the accesses; no lock needed).
-	done    []appliedChunk
 	stalled []opChunk
 	fault   *shardFault
 }
@@ -91,7 +75,6 @@ func (e *Engine) newOpStreamer() *opStreamer {
 // stage appends one op to the stream, sealing a chunk when the
 // threshold fills. Mutation goroutine only.
 func (s *opStreamer) stage(op shard.Op) {
-	s.all = append(s.all, op)
 	s.pend = append(s.pend, op)
 	if s.chunk > 0 && len(s.pend) >= s.chunk {
 		s.ch <- opChunk{epoch: s.e.nextOpEpoch(), ops: s.pend}
@@ -109,66 +92,44 @@ func (s *opStreamer) flusher() {
 			s.stalled = append(s.stalled, c)
 			continue
 		}
-		affs, f := s.flushChunk(c)
-		if f != nil {
+		if f := s.flushChunk(c); f != nil {
 			s.fault = f
 			s.stalled = append(s.stalled, c)
-			continue
 		}
-		s.done = append(s.done, appliedChunk{c: c, affs: affs})
 	}
 }
 
-// flushChunk fans one chunk to the alive fleet, returning the raw
-// affected sets or the first fault. Errors are recorded, not raised:
-// the failover controller must not run on this goroutine.
-func (s *opStreamer) flushChunk(c opChunk) ([][][]uint32, *shardFault) {
+// flushChunk fans one chunk to the alive fleet, returning the first
+// fault. Errors are recorded, not raised: the failover controller must
+// not run on this goroutine.
+func (s *opStreamer) flushChunk(c opChunk) *shardFault {
 	alive := s.e.aliveIndices()
-	affs := make([][][]uint32, len(s.e.shards))
 	faults := make([]*shardFault, len(alive))
 	parallelFor(len(alive), len(alive), func(k int) {
 		i := alive[k]
 		//lint:allow faultseam streamer faults are recorded and repaired at the phase join, off the flusher goroutine
-		aff, err := s.e.shards[i].ApplyOps(c.epoch, c.ops, nil)
-		if err != nil {
+		if err := s.e.shards[i].ApplyOps(c.epoch, c.ops); err != nil {
 			faults[k] = &shardFault{idx: i, err: err}
-			return
 		}
-		affs[i] = aff
 	})
 	s.e.metrics.Counter("gpnm_oplog_chunks_total").Inc()
 	for _, f := range faults {
 		if f != nil {
-			return nil, f
+			return f
 		}
 	}
-	return affs, nil
+	return nil
 }
 
-// settle folds one applied chunk's affected sets into dirty — the same
-// translation flushOps performs inline, deferred here to the mutation
-// goroutine so it reads settled post-staging partition state.
-func (s *opStreamer) settle(a appliedChunk, dirty *nodeset.Builder) {
-	for i, op := range a.c.ops {
-		if op.Shard >= 0 && a.affs[op.Shard] != nil && a.affs[op.Shard][i] != nil {
-			s.e.settleOp(op, a.affs[op.Shard][i], dirty)
-		}
-	}
-}
-
-// finish completes the stream: joins the flusher, settles every applied
-// chunk, repairs and re-flushes after a mid-stream fault, and issues
-// the final flush carrying the whole batch's warm-row demand. Mutation
-// goroutine only; runs inside the batch's failover boundary.
-func (s *opStreamer) finish(dirty *nodeset.Builder) {
+// finish completes the stream: joins the flusher, repairs and
+// re-flushes after a mid-stream fault, and flushes the unsealed tail.
+// Mutation goroutine only; runs inside the batch's failover boundary.
+func (s *opStreamer) finish() {
 	joinStart := time.Now()
 	close(s.ch)
 	<-s.join
 	s.e.span("oplog_join", joinStart)
 
-	for _, a := range s.done {
-		s.settle(a, dirty)
-	}
 	// Seal the tail BEFORE any recovery: a rebuild fences its snapshots
 	// at the highest allocated epoch, and the mirrors already contain
 	// the tail's ops — the tail epoch must sit at or below that fence or
@@ -183,22 +144,16 @@ func (s *opStreamer) finish(dirty *nodeset.Builder) {
 		// Repair with staging complete: the mirrors hold the full batch
 		// and the rebuild fence covers every sealed epoch, so stalled
 		// chunks re-flush idempotently against the repaired fleet —
-		// rebuilt workers answer at-or-below-fence epochs with empty
-		// sets, survivors reconcile through their own fences.
-		s.e.recoverFault(s.fault, dirty)
+		// rebuilt workers and survivors alike acknowledge epochs their
+		// fence already covers.
+		s.e.recoverFault(s.fault)
 		for _, c := range s.stalled {
 			c := c
-			s.e.withFailover(dirty, func() { s.e.flushOps(c.epoch, c.ops, nil, dirty) })
+			s.e.withFailover(func() { s.e.flushOps(c.epoch, c.ops) })
 		}
 	}
-	// Final flush: the unsealed tail plus the batch-wide warm demand
-	// (chunk flushes invalidated rows chunk by chunk; the amendment and
-	// overlay phases after us read against the full batch). An empty
-	// tail still refetches the demand through the bulk row plane.
 	if final != nil {
-		s.e.withFailover(dirty, func() { s.e.flushOps(finalEpoch, final, s.e.opsRowDemand(s.all), dirty) })
+		s.e.withFailover(func() { s.e.flushOps(finalEpoch, final) })
 		s.e.metrics.Counter("gpnm_oplog_chunks_total").Inc()
-	} else if len(s.all) > 0 {
-		s.e.withFailover(nil, func() { s.e.prefetchPlannedRows(s.e.opsRowDemand(s.all)) })
 	}
 }

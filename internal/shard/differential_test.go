@@ -128,9 +128,10 @@ func TestShardedEngineDifferential(t *testing.T) {
 }
 
 // TestShardedOracleAgreement spot-checks the distance oracle itself —
-// Dist, ForwardBall, ReverseBall — across the three shard layouts after
-// a mutation sequence, pinning that the seam preserves the substrate
-// (not only the match results derived from it).
+// point distances read off ball rows, ForwardBall, ReverseBall —
+// across the three shard layouts after a mutation sequence, pinning
+// that the seam preserves the substrate (not only the match results
+// derived from it).
 func TestShardedOracleAgreement(t *testing.T) {
 	seed := int64(4711)
 	g, _ := randomInstance(seed, 35, 100)
@@ -158,10 +159,10 @@ func TestShardedOracleAgreement(t *testing.T) {
 	n := euts[0].g.NumIDs()
 	for x := uint32(0); int(x) < n; x++ {
 		for y := uint32(0); int(y) < n; y++ {
-			d0 := euts[0].eng.Dist(x, y)
+			d0 := rowDist(euts[0].eng, x, y)
 			for _, eut := range euts[1:] {
-				if d := eut.eng.Dist(x, y); d != d0 {
-					t.Fatalf("%s: Dist(%d,%d) = %v, mono says %v", eut.name, x, y, d, d0)
+				if d := rowDist(eut.eng, x, y); d != d0 {
+					t.Fatalf("%s: d(%d,%d) = %v, mono says %v", eut.name, x, y, d, d0)
 				}
 			}
 		}
@@ -173,6 +174,23 @@ func TestShardedOracleAgreement(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rowDist reads d(u,v) off u's forward ball row at the full horizon
+// (Inf when v lies outside it).
+func rowDist(o shortest.Oracle, u, v uint32) shortest.Dist {
+	k := o.Horizon()
+	if k == 0 {
+		k = int(shortest.Inf) - 1
+	}
+	d := shortest.Inf
+	o.ForwardBall(u, k, func(x uint32, dx shortest.Dist) bool {
+		if x == v {
+			d = dx
+		}
+		return x < v
+	})
+	return d
 }
 
 func ballRow(e *partition.Engine, x uint32) string {
@@ -204,8 +222,8 @@ func TestRPCShardCloneFor(t *testing.T) {
 	n := g.NumIDs()
 	for x := uint32(0); int(x) < n; x++ {
 		for y := uint32(0); int(y) < n; y++ {
-			if a, b := e.Dist(x, y), c.Dist(x, y); a != b {
-				t.Fatalf("clone Dist(%d,%d) = %v, original %v", x, y, b, a)
+			if a, b := rowDist(e, x, y), rowDist(c, x, y); a != b {
+				t.Fatalf("clone d(%d,%d) = %v, original %v", x, y, b, a)
 			}
 		}
 	}
@@ -227,7 +245,7 @@ func TestRPCShardCloneFor(t *testing.T) {
 	}
 	g2.AddEdge(u, v)
 	c.InsertEdge(u, v)
-	if got := c.Dist(u, v); got != 1 {
-		t.Fatalf("clone Dist(%d,%d) after insert = %v, want 1", u, v, got)
+	if got := rowDist(c, u, v); got != 1 {
+		t.Fatalf("clone d(%d,%d) after insert = %v, want 1", u, v, got)
 	}
 }

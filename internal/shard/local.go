@@ -57,9 +57,7 @@ func (l *Local) eng(part int) *shortest.Engine {
 // build fan-out.
 //
 // The engines default to the hybrid sparse backend even for small
-// partitions when cfg.DenseThreshold is 0: stitched queries iterate
-// intra rows constantly, and hybrid rows cost O(ball) per scan where
-// dense rows cost O(|Pi|).
+// partitions when cfg.DenseThreshold is 0.
 func (l *Local) newEngine(sub *graph.Graph, subWorkers int) *shortest.Engine {
 	return shortest.NewEngine(sub, l.cfg.Horizon,
 		shortest.WithDenseThreshold(l.cfg.DenseThreshold),
@@ -115,55 +113,20 @@ func (l *Local) EnsureHorizon(k int) error {
 	return nil
 }
 
-// Dist returns the intra distance between two locals of an owned
-// partition.
-func (l *Local) Dist(part int, x, y uint32) (shortest.Dist, error) {
-	return l.eng(part).Dist(x, y), nil
-}
-
-// Ball visits the intra ball of src in ascending local-id order.
-func (l *Local) Ball(part int, src uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) error {
-	e := l.eng(part)
-	if reverse {
-		e.ReverseBall(src, maxD, fn)
-		return nil
-	}
-	e.ForwardBall(src, maxD, fn)
-	return nil
-}
-
-// Rows answers many full-horizon intra rows in one call. In-process
-// there is nothing to batch — each row is one engine scan — so this is
-// the plain loop over Ball; it exists so the coordinator's row-demand
-// planner runs identically against both shard kinds.
-func (l *Local) Rows(reqs []RowReq) ([]Row, error) {
-	maxD := capHops(l.cfg.Horizon)
-	out := make([]Row, len(reqs))
-	for i, rq := range reqs {
-		r := &out[i]
-		_ = l.Ball(rq.Part, rq.Src, maxD, rq.Reverse, func(v uint32, d shortest.Dist) bool {
-			r.Nodes = append(r.Nodes, v)
-			r.Dists = append(r.Dists, d)
-			return true
-		})
-	}
-	return out, nil
-}
-
 // ApplyOp synchronises the owning engine after one structural mutation
-// (the shared subgraph already reflects it) and returns the local
-// affected set — the allocation-free fast path the coordinator's
-// in-process per-op loop uses directly. Replica-only ops (Part < 0)
-// are skipped: the coordinator's graph is this shard's replica.
-func (l *Local) ApplyOp(op Op) []uint32 {
+// (the shared subgraph already reflects it) — the allocation-free fast
+// path the coordinator's in-process per-op loop uses directly.
+// Replica-only ops (Part < 0) are skipped: the coordinator's graph is
+// this shard's replica.
+func (l *Local) ApplyOp(op Op) {
 	if op.Part < 0 {
-		return nil
+		return
 	}
 	switch op.Kind {
 	case OpEdgeInsert:
-		return l.eng(op.Part).InsertEdge(op.LFrom, op.LTo)
+		l.eng(op.Part).InsertEdge(op.LFrom, op.LTo)
 	case OpEdgeDelete:
-		return l.eng(op.Part).DeleteEdge(op.LFrom, op.LTo)
+		l.eng(op.Part).DeleteEdge(op.LFrom, op.LTo)
 	case OpNodeInsert:
 		l.growTo(op.Part)
 		if l.engs[op.Part] == nil {
@@ -174,28 +137,24 @@ func (l *Local) ApplyOp(op Op) []uint32 {
 		} else {
 			l.engs[op.Part].InsertNode(op.Local)
 		}
-		return []uint32{op.Local}
 	case OpNodeDelete:
 		removed := make([]graph.Edge, len(op.RemovedLocal))
 		for j, e := range op.RemovedLocal {
 			removed[j] = graph.Edge{From: e.From, To: e.To}
 		}
-		return l.eng(op.Part).DeleteNode(op.Local, removed)
+		l.eng(op.Part).DeleteNode(op.Local, removed)
 	}
-	return nil
 }
 
 // ApplyOps is the batch form of ApplyOp (the Shard interface surface).
 // The epoch fence is meaningless in-process — the coordinator's own
 // structures are the replica, and a Local shard can never half-apply a
-// flush — so it is ignored, as is the warm row demand (there is no
-// client row cache to warm; the coordinator reads the engines directly).
-func (l *Local) ApplyOps(_ uint64, ops []Op, _ []RowReq) ([][]uint32, error) {
-	aff := make([][]uint32, len(ops))
-	for i, op := range ops {
-		aff[i] = l.ApplyOp(op)
+// flush — so it is ignored.
+func (l *Local) ApplyOps(_ uint64, ops []Op) error {
+	for _, op := range ops {
+		l.ApplyOp(op)
 	}
-	return aff, nil
+	return nil
 }
 
 // Affected is never routed to in-process shards: the coordinator holds

@@ -8,14 +8,11 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
-	"uagpnm/internal/shortest"
 )
 
 // TransportError is the error an RPC shard returns when the worker
@@ -37,47 +34,14 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// RPC fronts one shard worker process (cmd/gpnm-shard) over HTTP/JSON.
-//
-// Reads cache aggressively: Ball and Dist are served from full-horizon
-// intra rows fetched once per (partition, source, direction) and kept
-// until the next mutation invalidates them. The coordinator's query
-// patterns (overlay Dijkstras, stitched rows, the matching fixpoint)
-// re-read the same rows many times per epoch, so the row cache turns
-// per-query RPCs into per-row ones — and the bulk Rows path plus the
-// /ops warm piggyback turn per-row RPCs into per-phase ones.
-// Invalidation is partition-scoped: an intra row depends only on its
-// partition's subgraph, so an op flush drops only the touched
-// partitions' rows and everything else survives across batches.
-// Concurrent misses on one key fetch once (singleflight); the cache is
-// safe for the engine's concurrent read epochs.
+// RPC fronts one shard worker process (cmd/gpnm-shard) over HTTP/JSON:
+// builds, the epoch-fenced op stream and the batch's affected balls.
+// It holds no state beyond its connection pool and is safe for
+// concurrent use.
 type RPC struct {
 	base string
 	hc   *http.Client
 	obs  *obs.Registry // per-endpoint latency/bytes/retry/failure telemetry
-
-	mu     sync.Mutex
-	rows   map[rowKey][]rowEntry
-	flight map[rowKey]*rowCall
-}
-
-// rowCall is one in-flight row fetch: concurrent misses on the same
-// key wait on done instead of fetching again.
-type rowCall struct {
-	done chan struct{}
-	row  []rowEntry
-	err  error
-}
-
-type rowKey struct {
-	part    int
-	src     uint32
-	reverse bool
-}
-
-type rowEntry struct {
-	node uint32
-	d    shortest.Dist
 }
 
 // ParseAddrs splits a comma-separated -shards flag value into worker
@@ -114,11 +78,10 @@ func DialWith(addr string, reg *obs.Registry) *RPC {
 	return &RPC{
 		base: base,
 		// Per-request deadlines are set in post(); the transport is tuned
-		// for the engine's bulk fan-out. The zero-value transport keeps
-		// only 2 idle connections per host, so a parallel phase (affected
-		// fans, row prefetch, concurrent stitched reads) would re-dial TCP
-		// for every call beyond the pair; sizing the idle pool past the
-		// worker-pool widths in use keeps the fan on warm connections.
+		// for the engine's fan-out. The zero-value transport keeps only 2
+		// idle connections per host, so a parallel phase would re-dial
+		// TCP for every call beyond the pair; sizing the idle pool past
+		// the worker-pool widths in use keeps the fan on warm connections.
 		hc: &http.Client{Transport: &http.Transport{
 			DialContext: (&net.Dialer{
 				Timeout:   10 * time.Second,
@@ -130,14 +93,12 @@ func DialWith(addr string, reg *obs.Registry) *RPC {
 			TLSHandshakeTimeout:   10 * time.Second,
 			ExpectContinueTimeout: time.Second,
 		}},
-		obs:    reg,
-		rows:   make(map[rowKey][]rowEntry),
-		flight: make(map[rowKey]*rowCall),
+		obs: reg,
 	}
 }
 
-// reqTimeout picks the deadline for one request. Reads and op streams
-// are bounded snugly; /build runs a full remote intra-engine rebuild —
+// reqTimeout picks the deadline for one request. Ball requests and op
+// streams are bounded snugly; /build runs a full remote intra-engine rebuild —
 // exactly the superlinear work sharding exists to spread — so it gets
 // room to finish on sharding-scale graphs instead of being declared
 // dead (and pointlessly restarted) by a blanket client timeout.
@@ -220,12 +181,6 @@ func (r *RPC) post(op, path string, in, out interface{}) (err error) {
 	return &TransportError{Addr: r.base, Op: op, Err: last}
 }
 
-func (r *RPC) dropRows() {
-	r.mu.Lock()
-	r.rows = make(map[rowKey][]rowEntry)
-	r.mu.Unlock()
-}
-
 // Ping probes the worker's /healthz with a short bounded GET and no
 // retries — the failover controller calls it to separate dead workers
 // from transient faults, so it must answer fast either way.
@@ -264,11 +219,7 @@ func (r *RPC) Build(cfg Config, index int, owned []int, src Source) error {
 	for _, p := range owned {
 		req.Parts = append(req.Parts, src.PartSnapshot(p))
 	}
-	if err := r.post("build", "/build", req, nil); err != nil {
-		return err
-	}
-	r.dropRows()
-	return nil
+	return r.post("build", "/build", req, nil)
 }
 
 // Rebuild ships additional partitions' snapshots for the worker to
@@ -280,278 +231,20 @@ func (r *RPC) Rebuild(cfg Config, index int, added []int, src Source) error {
 	for _, p := range added {
 		req.Parts = append(req.Parts, src.PartSnapshot(p))
 	}
-	if err := r.post("rebuild", "/rebuild", req, nil); err != nil {
-		return err
-	}
-	r.dropRows()
-	return nil
+	return r.post("rebuild", "/rebuild", req, nil)
 }
 
 // EnsureHorizon widens the worker's engines to cover bound k.
 func (r *RPC) EnsureHorizon(k int) error {
-	if err := r.post("horizon", "/horizon", map[string]int{"k": k}, nil); err != nil {
-		return err
-	}
-	r.dropRows()
-	return nil
+	return r.post("horizon", "/horizon", map[string]int{"k": k}, nil)
 }
 
-// row returns the cached full-horizon intra row, fetching on a miss.
-// Concurrent misses on one key fetch once: the first caller registers
-// an in-flight rowCall and the rest wait on it, so a read fan that
-// converges on one hot row costs one RPC, not one per goroutine.
-// Singleton fetches count as gpnm_rpc_rows_missed_total — the planner's
-// job is to keep this near zero.
-func (r *RPC) row(part int, src uint32, reverse bool) ([]rowEntry, error) {
-	key := rowKey{part, src, reverse}
-	r.mu.Lock()
-	if row, ok := r.rows[key]; ok {
-		r.mu.Unlock()
-		return row, nil
-	}
-	if c, ok := r.flight[key]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.row, c.err
-	}
-	c := &rowCall{done: make(chan struct{})}
-	r.flight[key] = c
-	r.mu.Unlock()
-
-	r.obs.Counter("gpnm_rpc_rows_missed_total").Inc()
-	var resp rowResponse
-	err := r.post("row", "/row", map[string]interface{}{
-		"part": part, "src": src, "reverse": reverse,
-	}, &resp)
-	var row []rowEntry
-	if err == nil {
-		row = make([]rowEntry, len(resp.Nodes))
-		for i, n := range resp.Nodes {
-			row[i] = rowEntry{n, resp.Dists[i]}
-		}
-	}
-	r.mu.Lock()
-	if err == nil {
-		r.rows[key] = row
-	}
-	delete(r.flight, key)
-	r.mu.Unlock()
-	c.row, c.err = row, err
-	close(c.done)
-	return row, err
-}
-
-// entriesOf converts one wire row into cache form.
-func entriesOf(nodes []uint32, dists []shortest.Dist) []rowEntry {
-	row := make([]rowEntry, len(nodes))
-	for i, n := range nodes {
-		row[i] = rowEntry{n, dists[i]}
-	}
-	return row
-}
-
-// wireRow converts one cached row back into wire form for Rows callers.
-func wireRow(row []rowEntry) Row {
-	w := Row{Nodes: make([]uint32, len(row)), Dists: make([]shortest.Dist, len(row))}
-	for i, en := range row {
-		w.Nodes[i], w.Dists[i] = en.node, en.d
-	}
-	return w
-}
-
-// Rows answers many rows in one call, aligned with reqs: cached rows
-// are served locally, rows someone else is already fetching are
-// awaited (singleflight), and every remaining miss crosses the wire in
-// ONE /rows POST. Fetched rows install in the cache exactly like
-// singleton fetches, so a bulk prefetch warms every later Ball/Dist on
-// the same keys.
-func (r *RPC) Rows(reqs []RowReq) ([]Row, error) {
-	out := make([]Row, len(reqs))
-	type waiter struct {
-		i int
-		c *rowCall
-	}
-	var waits []waiter
-	var fetch []RowReq
-	var fetchKeys []rowKey
-	var fetchIdx []int
-	r.mu.Lock()
-	for i, rq := range reqs {
-		key := rowKey{rq.Part, rq.Src, rq.Reverse}
-		if row, ok := r.rows[key]; ok {
-			out[i] = wireRow(row)
-			continue
-		}
-		if c, ok := r.flight[key]; ok {
-			// In flight — ours (a duplicate earlier in reqs) or another
-			// goroutine's; either way the fetch resolves it.
-			waits = append(waits, waiter{i, c})
-			continue
-		}
-		c := &rowCall{done: make(chan struct{})}
-		r.flight[key] = c
-		fetch = append(fetch, rq)
-		fetchKeys = append(fetchKeys, key)
-		fetchIdx = append(fetchIdx, i)
-	}
-	r.mu.Unlock()
-
-	if len(fetch) > 0 {
-		var resp rowsResponse
-		err := r.post("rows", "/rows", map[string]interface{}{"reqs": fetch}, &resp)
-		if err == nil && len(resp.Rows) != len(fetch) {
-			err = &TransportError{Addr: r.base, Op: "rows",
-				Err: fmt.Errorf("worker answered %d rows for %d requests", len(resp.Rows), len(fetch))}
-		}
-		rows := make([][]rowEntry, len(fetch))
-		if err == nil {
-			for k, wr := range resp.Rows {
-				if !wr.Ok {
-					err = &TransportError{Addr: r.base, Op: "rows",
-						Err: fmt.Errorf("partition %d not owned by this worker", fetch[k].Part)}
-					break
-				}
-				rows[k] = entriesOf(wr.Nodes, wr.Dists)
-			}
-		}
-		r.mu.Lock()
-		for k, key := range fetchKeys {
-			c := r.flight[key]
-			delete(r.flight, key)
-			if err == nil {
-				r.rows[key] = rows[k]
-				c.row = rows[k]
-			}
-			c.err = err
-			close(c.done)
-		}
-		r.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		r.obs.Counter("gpnm_rpc_rows_prefetched_total").Add(uint64(len(fetch)))
-		for k, i := range fetchIdx {
-			out[i] = wireRow(rows[k])
-		}
-	}
-	for _, w := range waits {
-		<-w.c.done
-		if w.c.err != nil {
-			return nil, w.c.err
-		}
-		out[w.i] = wireRow(w.c.row)
-	}
-	return out, nil
-}
-
-// Dist answers an intra distance off the cached forward row of x.
-func (r *RPC) Dist(part int, x, y uint32) (shortest.Dist, error) {
-	row, err := r.row(part, x, false)
-	if err != nil {
-		return shortest.Inf, err
-	}
-	i := sort.Search(len(row), func(i int) bool { return row[i].node >= y })
-	if i < len(row) && row[i].node == y {
-		return row[i].d, nil
-	}
-	return shortest.Inf, nil
-}
-
-// Ball visits the intra ball of src (ascending local id) from the
-// cached full-horizon row.
-func (r *RPC) Ball(part int, src uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) error {
-	if maxD < 0 {
-		return nil
-	}
-	row, err := r.row(part, src, reverse)
-	if err != nil {
-		return err
-	}
-	for _, en := range row {
-		if int(en.d) > maxD {
-			continue
-		}
-		if !fn(en.node, en.d) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// touchedParts collects the partitions whose subgraphs an op list
-// mutates. Part < 0 ops (cross edges) touch no partition subgraph —
-// they live only in the data-graph replica and the overlay — so they
-// invalidate no intra rows.
-func touchedParts(ops []Op) map[int]bool {
-	touched := make(map[int]bool)
-	for _, op := range ops {
-		if op.Part >= 0 {
-			touched[op.Part] = true
-		}
-	}
-	return touched
-}
-
-// ApplyOps streams one ordered, epoch-fenced op batch to the worker
-// and returns the per-op affected sets of the partitions this worker
-// owns. A worker that already applied this epoch (the response was
-// lost, or a failover retry re-sent the flush) answers its recorded
-// sets instead of re-applying.
-//
-// Cache discipline: on success only the touched partitions' rows are
-// dropped — an intra row depends on nothing but its partition's
-// subgraph, so rows of untouched partitions stay valid across the
-// flush. The coordinator's warm demand rides the same round trip: the
-// worker recomputes those rows from its post-apply state and they are
-// installed here, so the overlay reconciliation that follows the flush
-// starts with a warm cache instead of a cold one. On failure the cache
-// drops wholesale (the worker may have applied a prefix).
-func (r *RPC) ApplyOps(epoch uint64, ops []Op, warm []RowReq) ([][]uint32, error) {
-	touched := touchedParts(ops)
-	// Send only the warm rows that will actually miss after the scoped
-	// drop below: rows of touched partitions always, others only when
-	// not already cached.
-	var send []RowReq
-	r.mu.Lock()
-	for _, rq := range warm {
-		if !touched[rq.Part] {
-			if _, ok := r.rows[rowKey{rq.Part, rq.Src, rq.Reverse}]; ok {
-				continue
-			}
-		}
-		send = append(send, rq)
-	}
-	r.mu.Unlock()
-
-	var resp opsResponse
-	err := r.post("ops", "/ops", map[string]interface{}{"epoch": epoch, "ops": ops, "warm": send}, &resp)
-	if err != nil {
-		r.dropRows() // the worker may have applied a prefix
-		return nil, err
-	}
-	r.mu.Lock()
-	for key := range r.rows {
-		if touched[key.part] {
-			delete(r.rows, key)
-		}
-	}
-	warmed := 0
-	for k, wr := range resp.Rows {
-		if k >= len(send) || !wr.Ok {
-			continue // reassigned mid-flight; the next read routes afresh
-		}
-		r.rows[rowKey{send[k].Part, send[k].Src, send[k].Reverse}] = entriesOf(wr.Nodes, wr.Dists)
-		warmed++
-	}
-	r.mu.Unlock()
-	if warmed > 0 {
-		r.obs.Counter("gpnm_rpc_rows_prefetched_total").Add(uint64(warmed))
-	}
-	if len(resp.Aff) != len(ops) {
-		return nil, &TransportError{Addr: r.base, Op: "ops",
-			Err: fmt.Errorf("worker answered %d affected sets for %d ops", len(resp.Aff), len(ops))}
-	}
-	return resp.Aff, nil
+// ApplyOps streams one ordered, epoch-fenced op batch to the worker. A
+// worker whose state already reflects this epoch (the response was
+// lost, or a failover retry re-sent the flush) acknowledges without
+// re-applying.
+func (r *RPC) ApplyOps(epoch uint64, ops []Op) error {
+	return r.post("ops", "/ops", map[string]interface{}{"epoch": epoch, "ops": ops}, nil)
 }
 
 // Affected computes conservative balls against the worker's data-graph
@@ -572,10 +265,9 @@ func (r *RPC) Affected(reqs []AffectedReq) ([]nodeset.Set, error) {
 	return out, nil
 }
 
-// Close drops cached rows and idle connections; the worker process
-// stays up for the next coordinator.
+// Close drops idle connections; the worker process stays up for the
+// next coordinator.
 func (r *RPC) Close() error {
-	r.dropRows()
 	r.hc.CloseIdleConnections()
 	return nil
 }

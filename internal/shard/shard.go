@@ -1,15 +1,14 @@
 // Package shard defines the seam the §V partition engine is served
 // through: a Shard owns the intra-partition SLen state (the
-// per-partition distance engines — the superlinear part of the
-// substrate) for a subset of the partitions, while the coordinator
-// (internal/partition.Engine) keeps the partition bookkeeping, the
-// bridge overlay, the stitched-row caches and the data graph itself.
+// per-partition distance engines) for a subset of the partitions,
+// while the coordinator (internal/partition.Engine) keeps the partition
+// bookkeeping, the data graph itself and the ball rows the matcher
+// reads, which it computes by BFS over that graph.
 //
 // Two implementations exist:
 //
 //   - Local runs in the coordinator's process and reads the
-//     coordinator's own partition subgraphs directly — the in-process
-//     path, a pure extraction of what the monolithic engine did.
+//     coordinator's own partition subgraphs directly.
 //   - RPC fronts a shard worker process (cmd/gpnm-shard) over
 //     HTTP/JSON; Server is the worker side. The worker holds replicas
 //     of its partitions' subgraphs (and of the data-graph adjacency,
@@ -18,12 +17,11 @@
 //
 // Contract: the coordinator mutates its own structures first (data
 // graph, partition subgraph mirrors, bridge bookkeeping) and then
-// hands each mutation to the owning shard as an Op; the shard applies
-// the op to any replica it keeps and synchronises its intra engines,
-// returning the partition-local affected set. Reads (Dist, Ball) are
-// safe for any number of concurrent goroutines between mutations —
-// the read-epoch discipline documented on partition.Engine extends
-// through this interface.
+// hands each mutation to the shards as an Op; a shard applies the op
+// to any replica it keeps and synchronises the intra engine of the
+// partition it owns. No read of a ball row or a distance crosses this
+// seam; the only remote read is Affected, the batch's conservative
+// balls.
 package shard
 
 import (
@@ -161,31 +159,13 @@ type Op struct {
 
 // AffectedReq asks for one update's conservative affected-ball
 // superset, evaluated against the shard's data-graph replica in its
-// current state (phase 1 sends deletions pre-batch, phase 4 sends
+// current state (phase 1 sends deletions pre-batch, phase 3 sends
 // insertions post-batch).
 type AffectedReq struct {
 	Kind OpKind `json:"k"` // OpEdgeInsert/OpEdgeDelete/OpNodeDelete
 	From uint32 `json:"u,omitempty"`
 	To   uint32 `json:"v,omitempty"`
 	Node uint32 `json:"n,omitempty"`
-}
-
-// RowReq names one full-horizon intra row: the (partition, local
-// source, direction) triple the stitched read path keys everything by.
-// The coordinator's row-demand planner batches these so a whole phase's
-// row traffic crosses the wire as one bulk call per shard instead of
-// one RPC per row.
-type RowReq struct {
-	Part    int    `json:"p"`
-	Src     uint32 `json:"s"`
-	Reverse bool   `json:"r,omitempty"`
-}
-
-// Row is one full-horizon intra row, aligned with its RowReq: the
-// ball members in ascending local-id order with their distances.
-type Row struct {
-	Nodes []uint32        `json:"nodes"`
-	Dists []shortest.Dist `json:"dists"`
 }
 
 // Shard is the per-partition half of the §V substrate.
@@ -231,42 +211,14 @@ type Shard interface {
 	// EnsureHorizon widens every owned intra engine to cover bound k.
 	EnsureHorizon(k int) error
 
-	// Dist returns the intra-partition distance between two locals of
-	// an owned partition.
-	Dist(part int, x, y uint32) (shortest.Dist, error)
-
-	// Ball visits the intra ball of src in ascending local-id order
-	// (src included at 0), stopping early when fn returns false. Safe
-	// for concurrent use between mutations.
-	Ball(part int, src uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) error
-
-	// Rows answers many full-horizon intra rows in one call, aligned
-	// with reqs. Every request must name a partition this shard owns.
-	// The remote implementation fetches all cache-missing rows in one
-	// /rows RPC and keeps them cached like singleton fetches, so the
-	// coordinator's row-demand planner can warm a whole phase's reads
-	// with one round trip per shard. Safe for concurrent use between
-	// mutations, like Ball.
-	Rows(reqs []RowReq) ([]Row, error)
-
 	// ApplyOps applies one ordered batch of mutations (already applied
-	// to the coordinator's structures) and returns, aligned by index,
-	// the partition-local affected set of every op this shard owns
-	// (nil for replica-only and foreign ops). epoch fences the stream:
-	// the coordinator issues a strictly increasing epoch per flush, and
-	// a shard that already applied it answers its recorded response
-	// (or empty sets, after a fenced build) instead of re-applying —
-	// which is what makes the failover retry of an in-flight batch
-	// safe against survivors that had applied before the loss.
-	//
-	// warm piggybacks the coordinator's post-flush row demand on the
-	// same round trip: the owned rows named in it are recomputed from
-	// the post-apply state and (remotely) installed in the client's row
-	// cache, so the overlay reconciliation that follows the flush reads
-	// warm rows instead of paying one RPC per bridge node. Rows are
-	// read-only, so the piggyback is idempotent under the epoch fence;
-	// in-process shards ignore it (the coordinator reads them directly).
-	ApplyOps(epoch uint64, ops []Op, warm []RowReq) ([][]uint32, error)
+	// to the coordinator's structures). epoch fences the stream: the
+	// coordinator issues a strictly increasing epoch per flush, and a
+	// shard whose state already reflects it (it applied it, or a fenced
+	// build contained it) acknowledges without re-applying — which is
+	// what makes the failover retry of an in-flight batch safe against
+	// survivors that had applied before the loss.
+	ApplyOps(epoch uint64, ops []Op) error
 
 	// Affected computes the conservative affected-ball supersets of
 	// the given updates against the shard's data-graph replica. Only

@@ -5,15 +5,11 @@ import (
 	"uagpnm/internal/nodeset"
 )
 
-// Oracle is the read side of an SLen substrate: everything the matcher
-// and the elimination detectors need to test bounded path lengths.
+// Oracle is the read side of an SLen substrate: everything the matcher,
+// the elimination detectors and the amendment need to test bounded path
+// lengths. They ask only for bounded balls; point distances are a
+// property of the global Engine alone (tests use it as the reference).
 type Oracle interface {
-	// Dist returns d(u,v) in hops (Inf beyond the horizon / no path).
-	Dist(u, v uint32) Dist
-	// WithinHops reports d(u,v) ≤ k; k must be ≤ Horizon when capped.
-	WithinHops(u, v uint32, k int) bool
-	// Reachable reports d(u,v) < Inf (within the horizon when capped).
-	Reachable(u, v uint32) bool
 	// ForwardBall visits {v : d(u,v) ≤ k} ascending, u included at 0.
 	ForwardBall(u uint32, k int, fn func(v uint32, d Dist) bool)
 	// ReverseBall visits {x : d(x,v) ≤ k} ascending, v included at 0.

@@ -270,8 +270,7 @@ func (d *pdrain) worker(w int) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Unblock peers parked in selects so the fork-join completes,
-			// then let workpool.Run re-raise on the caller (a shard fault
-			// unwinding here is what the hub's read failover retries).
+			// then let workpool.Run re-raise on the caller.
 			d.abortOnce.Do(func() { close(d.abort) })
 			//lint:allow panic re-raise after unblocking peers; workpool.Run re-raises on the fork-join caller
 			panic(r)

@@ -5,8 +5,8 @@
 # the delta comes back over HTTP — i.e. the full §V substrate ran with
 # its intra-partition state split across two worker processes. A
 # metrics stage then scrapes worker /metrics and coordinator
-# /v1/metrics to pin that the bulk /rows read plane carried the
-# traffic with zero RPC failures. Then the
+# /v1/metrics to pin that the workers served the op stream and the
+# affected balls, never a row read, with zero RPC failures. Then the
 # failover stage: kill -9 one worker mid-run and assert the coordinator
 # stays healthy, the next batch's results are still correct (the lost
 # partitions were rebuilt on the survivor), /healthz reports the
@@ -85,19 +85,23 @@ DELTA=$(curl -sf -X POST "$BASE/apply" -d '{"data":"+e 2 1\n"}')
 echo "apply: $DELTA"
 echo "$DELTA" | grep -q '"added":\[2\]' || { echo "shard-smoke: delta missed the new match" >&2; exit 1; }
 
-# ---- Metrics stage: the batched read plane actually ran. ----------
-# Scrape both workers' /metrics: the coordinator must have reached them
-# through the bulk /rows plane (build-time bridge plan + batch row
-# plans), not per-row fallbacks only — and the workers must have served
-# bulk rows. Checked BEFORE the kill so the zero-failure assertion on
-# the coordinator is meaningful.
+# ---- Metrics stage: the workers did the batch's shard work. -------
+# Scrape both workers' /metrics: they must have served the op stream
+# (/ops) and the batch's affected balls (/affected), and no row read at
+# all — the coordinator answers every ball row off its own graph.
+# Checked BEFORE the kill so the zero-failure assertion on the
+# coordinator is meaningful.
 M1=$(curl -sf "http://127.0.0.1:${SHARD1_PORT}/metrics")
 M2=$(curl -sf "http://127.0.0.1:${SHARD2_PORT}/metrics")
-echo "$M1$M2" | grep 'gpnm_worker_requests_total{endpoint="/rows"}' \
-  || { echo "shard-smoke: no worker ever served the bulk /rows endpoint" >&2; exit 1; }
-ROWS_TOTAL=$(echo "$M1$M2" | grep '^gpnm_worker_rows_total' | awk '{s+=$2} END {print s+0}')
-echo "shard-smoke: workers served $ROWS_TOTAL bulk rows"
-[ "$ROWS_TOTAL" -gt 0 ] || { echo "shard-smoke: gpnm_worker_rows_total is zero — bulk plane never carried rows" >&2; exit 1; }
+for EP in /ops /affected; do
+  grep -q "gpnm_worker_requests_total{endpoint=\"$EP\"}" <<<"$M1$M2" \
+    || { echo "shard-smoke: no worker ever served $EP" >&2; exit 1; }
+done
+if grep -E 'gpnm_worker_requests_total\{endpoint="/rows?"\}' <<<"$M1$M2"; then
+  echo "shard-smoke: a worker served a row read; rows must come from the coordinator" >&2
+  exit 1
+fi
+echo "shard-smoke: workers served /ops and /affected, no row reads"
 # Coordinator side: a healthy run has no RPC failures at all (the
 # counter usually doesn't even exist yet — that counts as zero).
 CM=$(curl -sf "$BASE/v1/metrics")

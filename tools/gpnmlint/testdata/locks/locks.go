@@ -35,7 +35,7 @@ func (s *Server) bad2() {
 func (s *Server) bad3() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rpc.Call("/rows") // want `shard RPC Call while holding s\.mu`
+	return s.rpc.Call("/ops") // want `shard RPC Call while holding s\.mu`
 }
 
 func (s *Server) bad4() {

@@ -141,14 +141,14 @@ type Options struct {
 	Horizon int
 	// Workers bounds the SLen substrate's internal worker pool. With
 	// Method UAGPNM the partition engine fans per-partition builds,
-	// overlay maintenance and batch affected-set computation across up
+	// batch affected-set computation and row prefetch across up
 	// to Workers goroutines (0 = all cores); 1 runs fully serial, which
 	// is how the baselines — UA-GPNM-NoPar included — are compared.
 	Workers int
 	// Shards, when non-empty, serves the UAGPNM partition engine's
 	// per-partition intra SLen state from remote gpnm-shard workers at
 	// these host:port addresses; the session process remains the
-	// coordinator (bridge overlay, stitching, caches). Empty = fully
+	// coordinator (data graph, ball rows, caches). Empty = fully
 	// in-process.
 	Shards []string
 }
@@ -412,8 +412,8 @@ type HubOptions struct {
 	// the lost partitions instead.
 	SpareShards []string
 	// FailoverRetries bounds how many distinct shard losses each
-	// protected engine operation (a batch's substrate phases, a
-	// detection/amendment fan, a register's initial query) may absorb
+	// protected engine operation (a batch's substrate phases, a horizon
+	// widening, a health-sweep repair) may absorb
 	// through failover before the hub gives up and poisons itself with
 	// ErrSubstrateLost (0 = the default of 1 per operation; negative =
 	// disable failover: every loss poisons immediately).
