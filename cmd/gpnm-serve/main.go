@@ -13,14 +13,15 @@
 //	gpnm-serve -synth-nodes 2000 -synth-edges 8000 -synth-labels 12
 //	gpnm-serve                       # empty graph, build via /v1/apply
 //
-// With -shards host:port,... the hub's partition substrate is served
-// from that many gpnm-shard worker processes (the §V partitions split
-// round-robin, the data graph and every ball row staying in this
-// process as the coordination layer); the HTTP API is unchanged. A worker lost
-// mid-run is handled by failover, not death: the coordinator rebuilds
-// the lost partitions from its own subgraph mirrors on the surviving
-// workers — or on a standby from -spare-shards — replays the in-flight
-// op stream under an epoch fence, and retries the batch; /healthz
+// With -shards host:port,... the hub streams its op log to that many
+// gpnm-shard worker processes, each holding a replica of the data
+// graph, and fans each batch's affected-ball phases across them; the
+// data graph and every ball row stay in this process as the
+// coordination layer, and the HTTP API is unchanged. A worker lost
+// mid-run is handled by failover, not death: the coordinator
+// quarantines it — promoting and building a standby from -spare-shards
+// if one is left — replays the in-flight op stream under an epoch
+// fence, and retries the batch on the survivors; /healthz
 // answers 200 {"recovering":true} while the repair runs and mutating
 // requests get a retryable substrate_recovering. Up to
 // -failover-retries distinct losses are absorbed per batch. Only when
@@ -68,7 +69,7 @@ func main() {
 	workers := flag.Int("workers", 0, "substrate + fan-out worker bound (0 = all cores)")
 	shards := flag.String("shards", "", "comma-separated gpnm-shard worker addresses (host:port,...); empty = in-process substrate")
 	spareShards := flag.String("spare-shards", "", "standby gpnm-shard workers promoted on shard loss (host:port,...)")
-	failoverRetries := flag.Int("failover-retries", 1, "shard losses absorbed per engine operation (batch phase group, horizon widening) via failover before the hub poisons itself (0 = poison on first loss)")
+	failoverRetries := flag.Int("failover-retries", 1, "shard losses absorbed per engine operation (batch phase group, build, sweep repair) via failover before the hub poisons itself (0 = poison on first loss)")
 	opChunk := flag.Int("op-chunk", 0, "op-stream chunk size for sharded substrates: structural ops flush to the workers in fenced chunks of this size while the batch is still staging (0 = engine default, negative = one end-of-phase flush)")
 	pipelined := flag.Bool("pipeline", false, "overlap consecutive batches: a queued batch's pre-state balls are computed while its predecessor is still amending patterns (results identical; lower latency under back-to-back load)")
 	healthSweep := flag.Duration("health-sweep", 0, "probe the shard fleet at this interval while idle, repairing workers that died between batches off the critical path (0 = off; only with -shards)")

@@ -1,12 +1,13 @@
-// Command gpnm-shard is a partition-shard worker for the sharded §V
-// substrate: it holds the intra-partition SLen engines (and a
-// data-graph adjacency replica) for the partitions a coordinator
-// assigns to it, speaking the HTTP/JSON protocol of internal/shard.
+// Command gpnm-shard is a shard worker for the sharded §V substrate: it
+// holds a replica of the coordinator's data-graph adjacency, fed by the
+// epoch-fenced op stream, and answers the batch's conservative
+// affected balls off it, speaking the HTTP/JSON protocol of
+// internal/shard.
 //
 // Workers start empty and idle until a coordinator — gpnm-serve or
 // gpnm-bench launched with -shards host:port,... — claims them with a
-// /build; all sizing (horizon, backend thresholds, worker pool) comes
-// from the coordinator with that call. One worker serves one
+// /build; the worker pool size comes with that call and the hop
+// horizon with every /affected request. One worker serves one
 // coordinator at a time; a new /build simply re-claims it.
 //
 //	gpnm-shard -addr :9101

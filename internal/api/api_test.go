@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -487,6 +488,9 @@ func TestValidationCodes(t *testing.T) {
 			}
 			return resp
 		}, http.StatusNotFound, CodeUnknownPattern},
+		{"oversized body", func() *http.Response {
+			return post(t, ts.URL+"/v1/patterns", RegisterRequest{Pattern: strings.Repeat("x", maxBodyBytes)})
+		}, http.StatusRequestEntityTooLarge, CodeBadRequest},
 		{"bad id", func() *http.Response {
 			resp, err := http.Get(ts.URL + "/v1/patterns/xyz")
 			if err != nil {

@@ -283,7 +283,12 @@ func (c *Client) WaitDeltas(ctx context.Context, id hub.PatternID, since uint64)
 			}
 		}
 		if chunk <= 0 {
-			return nil, false, ctx.Err()
+			// The deadline has passed, but ctx's own timer may not have
+			// fired yet, leaving ctx.Err() nil for a moment.
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+			return nil, false, context.DeadlineExceeded
 		}
 		// Clamp after rounding: a sub-0.5ms remainder would round to the
 		// "0s" the server rejects, masking a plain deadline as a 400.

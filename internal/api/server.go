@@ -97,11 +97,23 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	srvutil.WriteJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
+// maxBodyBytes caps every request body the API decodes. A pattern or
+// an update batch is far smaller; the cap keeps one oversized request
+// from holding the decoder (and the heap) hostage.
+const maxBodyBytes = 4 << 20
+
 // decode parses the JSON request body, answering malformed input with
 // the full error envelope (srvutil.Decode predates the code field and
-// would drop it — every non-2xx from this package must carry one).
+// would drop it — every non-2xx from this package must carry one) and
+// a body over maxBodyBytes with 413.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBadRequest, "request body over %d bytes", tooLarge.Limit)
+		return false
+	case err != nil:
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: %v", err)
 		return false
 	}

@@ -32,7 +32,8 @@ import (
 
 // Machine-readable error codes carried in ErrorBody.Code.
 const (
-	// CodeBadRequest: malformed JSON, ids, query parameters.
+	// CodeBadRequest: malformed JSON, ids, query parameters, or a body
+	// over the size cap (HTTP 413).
 	CodeBadRequest = "bad_request"
 	// CodeBadPattern: a pattern that does not parse or is empty.
 	CodeBadPattern = "bad_pattern"
@@ -46,8 +47,8 @@ const (
 	// every further request will fail the same way.
 	CodeSubstrateLost = "substrate_lost"
 	// CodeSubstrateRecovering: a shard worker died and the hub is
-	// rebuilding its partitions on surviving or spare workers inside
-	// the in-flight batch. Degraded, not dead: the request was refused
+	// quarantining it (and promoting a spare, if any) inside the
+	// in-flight batch. Degraded, not dead: the request was refused
 	// only to avoid queueing behind the repair — retry shortly
 	// (Retry-After is set) and it will be served normally.
 	CodeSubstrateRecovering = "substrate_recovering"

@@ -20,9 +20,9 @@ import (
 // whose partition substrate runs on two self-spawned HTTP shard
 // workers, with one worker killed abruptly mid-run. Measured are the
 // steady-state batch rate before the kill, the wall time of the one
-// batch that absorbs the loss (detection + rebuild of the lost
-// partitions from the coordinator's mirrors + fenced replay), and the
-// batch rate afterwards on the survivor alone.
+// batch that absorbs the loss (detection + quarantine + retry of the
+// faulted phase on the survivor), and the batch rate afterwards on the
+// survivor alone.
 type FailoverConfig struct {
 	Nodes    int // data graph size (default 3000)
 	Edges    int // data graph edges (default 12000)
@@ -58,9 +58,8 @@ type FailoverResult struct {
 
 	// The kill batch: one worker is dead when the batch arrives; the
 	// batch completes through failover. RecoverySeconds is its whole
-	// wall time — detection (transport retries + probe), rebuilding the
-	// lost partitions on the survivor, the fenced replay and the
-	// batch's own work; OverheadRatio normalises it by the pre-kill
+	// wall time — detection (transport retries + probe), quarantine,
+	// the retried phase on the survivor and the batch's own work; OverheadRatio normalises it by the pre-kill
 	// mean so the figure transfers across hosts.
 	RecoverySeconds       float64 `json:"recovery_seconds"`
 	RecoveryOverheadRatio float64 `json:"recovery_overhead_ratio"`
@@ -258,7 +257,7 @@ func (r FailoverResult) String() string {
 		r.Config.BatchesBefore, r.Config.BatchesAfter, r.Config.Updates, r.Config.Workers)
 	fmt.Fprintf(&sb, "%-34s  %12s  %14s\n", "", "s/batch", "batches/sec")
 	fmt.Fprintf(&sb, "%-34s  %12.4f  %14.2f\n", "before kill (2 workers)", r.BeforeBatchSeconds, r.BeforeBatchesPerSec)
-	fmt.Fprintf(&sb, "%-34s  %12.4f  %14s\n", "kill batch (detect+rebuild+replay)", r.RecoverySeconds, "-")
+	fmt.Fprintf(&sb, "%-34s  %12.4f  %14s\n", "kill batch (detect+retry)", r.RecoverySeconds, "-")
 	fmt.Fprintf(&sb, "%-34s  %12.4f  %14.2f\n", "after kill (survivor only)", r.AfterBatchSeconds, r.AfterBatchesPerSec)
 	fmt.Fprintf(&sb, "recovery overhead: %.1f× a steady-state batch; losses absorbed: %d",
 		r.RecoveryOverheadRatio, r.Recovered)

@@ -31,7 +31,7 @@ type ScalingConfig struct {
 // ScalingPoint is one measured worker count.
 type ScalingPoint struct {
 	Workers      int
-	BuildSeconds float64 // NewSession: partition + intra-engine construction
+	BuildSeconds float64 // NewSession: partition construction + IQuery
 	QuerySeconds float64 // all SQuery batches
 }
 

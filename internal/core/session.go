@@ -77,30 +77,30 @@ type Config struct {
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
-	// DenseThreshold and ELLWidth tune the SLen backends (zero values
-	// take the engine defaults).
+	// DenseThreshold and ELLWidth tune the global SLen matrix backend
+	// of the non-UA-GPNM methods (zero values take the engine
+	// defaults). UA-GPNM keeps no matrix and ignores them.
 	DenseThreshold int
 	ELLWidth       int
 	// Workers bounds the engine's internal worker pool. For UA-GPNM it
-	// fans per-partition builds, batch affected-set balls and row
-	// prefetch across up to Workers goroutines; for the
+	// fans batch affected-set balls and row prefetch across up to
+	// Workers goroutines; for the
 	// global-SLen methods it bounds the parallel matrix build. 0 selects
 	// GOMAXPROCS for UA-GPNM and the build default otherwise; 1 runs
 	// fully serial (the baseline configuration UA-GPNM-NoPar and the
 	// other baselines are measured in).
 	Workers int
-	// ShardAddrs, when non-empty, serves the UA-GPNM partition engine's
-	// per-partition intra state from remote shard workers (cmd/gpnm-shard
-	// processes at these host:port addresses) instead of in-process: the
-	// coordinator keeps the data graph and answers every ball row
-	// itself, and fans intra builds, the op stream and batch
-	// affected-ball phases across the workers. Ignored by the
-	// global-SLen methods.
+	// ShardAddrs, when non-empty, adds remote shard workers
+	// (cmd/gpnm-shard processes at these host:port addresses) to the
+	// UA-GPNM partition engine: the coordinator keeps the data graph and
+	// answers every ball row itself, streams the op log to the workers'
+	// graph replicas and fans the batch affected-ball phases across
+	// them. Ignored by the global-SLen methods.
 	ShardAddrs []string
 	// SpareShardAddrs are standby workers held for failover: when a
 	// serving shard is lost, the next live spare is promoted into its
-	// slot and rebuilt from the coordinator's mirrors before the
-	// in-flight batch retries. Only meaningful with ShardAddrs.
+	// slot and built from the coordinator's graph before the in-flight
+	// batch retries. Only meaningful with ShardAddrs.
 	SpareShardAddrs []string
 	// FailoverRetries bounds how many distinct shard losses each
 	// failover boundary (one protected engine operation) may absorb
@@ -133,7 +133,7 @@ type QueryStats struct {
 	Eliminated     int // |Ue| of the paper's complexity analysis
 	SeedNodes      int // seed set size of the final amendment
 	// SLenSync is the wall time of the SLen substrate synchronisation
-	// (structural application + intra/matrix maintenance + change-log
+	// (structural application + matrix or replica maintenance + change-log
 	// assembly); SLenSyncs counts the data updates synchronised into the
 	// substrate. Together they expose the maintenance cost the
 	// standing-query hub amortises across patterns (internal/hub): n
@@ -199,12 +199,6 @@ func (s *Session) newEngine(g *graph.Graph) shortest.DistanceEngine {
 func NewEngineFor(g *graph.Graph, cfg Config) shortest.DistanceEngine {
 	if cfg.Method == UAGPNM {
 		var opts []partition.Option
-		if cfg.DenseThreshold > 0 {
-			opts = append(opts, partition.WithDenseThreshold(cfg.DenseThreshold))
-		}
-		if cfg.ELLWidth > 0 {
-			opts = append(opts, partition.WithELLWidth(cfg.ELLWidth))
-		}
 		if cfg.Workers > 0 {
 			opts = append(opts, partition.WithWorkers(cfg.Workers))
 		}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,16 +25,22 @@ import (
 
 // killableHubWorker mirrors the partition suite's killable worker: one
 // shard worker whose handler can be armed to die (503 on everything,
-// /healthz included) at the first request matching a path.
+// /healthz included) at the first request matching a path. It also
+// counts, per path, the requests it passed through to the worker —
+// unlike the worker's /metrics, which every worker in the test binary
+// shares, the count is this worker's own.
 type killableHubWorker struct {
 	ts    *httptest.Server
 	dead  atomic.Bool
 	armed atomic.Value // string ("" = disarmed)
+
+	mu     sync.Mutex
+	served map[string]int
 }
 
 func newKillableHubWorker(t testing.TB) *killableHubWorker {
 	t.Helper()
-	k := &killableHubWorker{}
+	k := &killableHubWorker{served: map[string]int{}}
 	k.armed.Store("")
 	inner := shard.NewServer().Handler()
 	k.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -46,10 +53,20 @@ func newKillableHubWorker(t testing.TB) *killableHubWorker {
 			http.Error(w, "killed", http.StatusServiceUnavailable)
 			return
 		}
+		k.mu.Lock()
+		k.served[r.URL.Path]++
+		k.mu.Unlock()
 		inner.ServeHTTP(w, r)
 	}))
 	t.Cleanup(k.ts.Close)
 	return k
+}
+
+// servedCount reports how many requests for path reached the worker.
+func (k *killableHubWorker) servedCount(path string) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.served[path]
 }
 
 // TestHubFailoverLongPollSurvives kills one of two workers inside

@@ -72,31 +72,26 @@ type Config struct {
 	// widened automatically to cover every registered pattern's largest
 	// finite bound.
 	Horizon int
-	// DenseThreshold and ELLWidth tune the substrate backends (zero
-	// values take the engine defaults).
-	DenseThreshold int
-	ELLWidth       int
 	// Workers bounds both the substrate's internal pool and the hub's
 	// per-pattern fan-out (0 = all cores, 1 = fully serial).
 	Workers int
-	// Shards, when non-empty, serves the UA-GPNM substrate's
-	// per-partition intra state from remote shard workers (cmd/gpnm-shard
-	// at these host:port addresses). The hub's phase discipline is
-	// unchanged: the single writer streams each batch's ops to the
-	// workers once, and the per-pattern readers of phase 3 query the
-	// frozen post-batch shard state through the coordinator's caches.
+	// Shards, when non-empty, adds remote shard workers (cmd/gpnm-shard
+	// at these host:port addresses) to the UA-GPNM substrate: each holds
+	// a replica of the data graph and computes its slice of every
+	// batch's affected balls. The hub's phase discipline is unchanged:
+	// the single writer streams each batch's ops to the workers once,
+	// and the per-pattern readers of phase 3 read ball rows off the
+	// coordinator's own graph.
 	Shards []string
 	// SpareShards are standby gpnm-shard workers the substrate promotes
-	// when a serving worker is lost: the dead shard's partitions are
-	// rebuilt on the spare from the coordinator's mirrors before the
-	// in-flight batch retries. Without spares, survivors absorb the
-	// lost partitions instead.
+	// when a serving worker is lost: the spare takes the dead slot and
+	// is built from the coordinator's graph before the in-flight batch
+	// retries. Without spares, the survivors carry on alone.
 	SpareShards []string
 	// FailoverRetries bounds how many distinct shard losses each
 	// failover boundary may absorb before the hub poisons itself with
 	// shard.ErrSubstrateLost. A boundary is one protected engine
-	// operation — a batch's substrate phases, a horizon widening, a
-	// sweep repair (partition engine semantics; see
+	// operation — a batch's substrate phases, a build, a sweep repair (partition engine semantics; see
 	// partition.WithFailoverRetries). 0 = the default of
 	// 1 per boundary; negative = disable failover entirely (every loss
 	// poisons, the pre-failover model).
@@ -175,8 +170,8 @@ type BatchStats struct {
 	FanOut   time.Duration
 	Duration time.Duration
 	// Recovered counts the shard losses this batch absorbed through
-	// failover: the dead workers' partitions were rebuilt from the
-	// coordinator's mirrors and the batch completed normally. It is the
+	// failover: the dead workers were quarantined (and replaced by
+	// spares, if any) and the batch completed normally. It is the
 	// only subscriber-visible trace of a recovered loss.
 	Recovered int
 	// Woken counts the registrations phase 3 actually fanned over;
@@ -282,7 +277,7 @@ type Hub struct {
 
 // New builds the shared substrate over g and returns an empty hub. The
 // hub owns g afterwards. With Config.Shards set, building the remote
-// intra engines can fail (a worker is unreachable); the error wraps
+// replicas can fail (a worker is unreachable); the error wraps
 // shard.ErrSubstrateLost.
 func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 	if cfg.Method == core.Scratch {
@@ -300,8 +295,6 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 	h.eng = core.NewEngineFor(g, core.Config{
 		Method:          cfg.Method,
 		Horizon:         cfg.Horizon,
-		DenseThreshold:  cfg.DenseThreshold,
-		ELLWidth:        cfg.ELLWidth,
 		Workers:         cfg.Workers,
 		ShardAddrs:      cfg.Shards,
 		SpareShardAddrs: cfg.SpareShards,
@@ -360,9 +353,10 @@ func (h *Hub) fanWorkers() int {
 // concurrent hub use, or parse them under the hub's lock with
 // RegisterScript.
 //
-// It errors when the substrate is (or becomes) lost: widening the
-// horizon rebuilds the remote intra engines. The initial query itself
-// reads only the coordinator's graph and never touches a shard.
+// It errors when the substrate is lost. Neither widening the horizon
+// nor the initial query touches a shard: every /affected request
+// carries the horizon, and the query reads only the coordinator's
+// graph.
 func (h *Hub) Register(p *pattern.Graph) (id PatternID, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -711,9 +705,8 @@ func (h *Hub) span(tr *obs.Trace, name string, start time.Time) {
 // side, or carries a node insert with a mispredicted id.
 //
 // Losing a substrate shard mid-batch is first handled by failover: the
-// substrate quarantines the dead worker, rebuilds its partitions from
-// the coordinator's mirrors on survivors or spares, and retries the
-// in-flight work — invisible here except for BatchStats.Recovered.
+// substrate quarantines the dead worker, promotes a spare if one is
+// left, and retries the in-flight work on the repaired fleet — invisible here except for BatchStats.Recovered.
 // Parked WaitDeltas long-polls simply stay parked through the recovery
 // window (the batch is still in flight) and wake with the batch's
 // deltas as usual. Only when recovery is exhausted — no surviving

@@ -13,7 +13,7 @@ import (
 //
 // Without it, a worker that dies while the hub is idle is found by the
 // NEXT batch's first RPC against it — that batch eats the transport
-// timeout plus the whole quarantine/promote/rebuild sequence on its
+// timeout plus the whole quarantine/promote sequence on its
 // critical path. The sweep moves both off it: a background ticker
 // probes the fleet while the hub is quiet and runs the identical
 // repair, so the next batch arrives to an already-healthy assignment.

@@ -9,9 +9,9 @@ import (
 	"uagpnm/internal/updates"
 )
 
-// ApplyDataBatch applies a whole ΔGD sequence — mutating the data graph,
-// the partition subgraph mirrors and the (shard-hosted) intra-partition
-// engines per update — and returns the per-update affected sets (Aff_N,
+// ApplyDataBatch applies a whole ΔGD sequence — mutating the data graph
+// and the partition bookkeeping per update, and streaming the ops to
+// any remote shards — and returns the per-update affected sets (Aff_N,
 // for DER-II/EH-Tree) plus their union (the batch change log the
 // amendment seeds on).
 //
@@ -25,31 +25,28 @@ import (
 // for the whole batch (§VI).
 //
 // The ball phases (1 and 3) are read-only snapshots of a fixed graph
-// state; with in-process shards they run one update per pool worker,
-// with remote shards they fan across the shard processes (each worker
-// computing its slice against its own data-graph replica). The
-// structural phase (2) is order-dependent: the coordinator applies
-// every update to its own structures serially, handing in-process
-// shards their ops one by one (preserving the monolith's exact
-// interleaving) and streaming remote shards the ordered op log in
-// epoch-fenced chunks that flush in the background while staging
+// state; in process they run one update per pool worker, with remote
+// shards they fan across the shard processes (each worker computing
+// its slice against its own data-graph replica). The structural phase
+// (2) is order-dependent: the coordinator applies every update to its
+// own structures serially and streams remote shards the ordered op log
+// in epoch-fenced chunks that flush in the background while staging
 // continues, joining at the end of the phase (see stream.go). Finally
 // the reverse rows of the change log — exactly the rows the subsequent
 // amendment pass queries — are pre-warmed across the pool.
 //
 // This is the substrate's error and failover boundary. Losing a shard
-// mid-batch (transport death, replica divergence) no longer poisons by
-// default: the dead worker is quarantined, its partitions are rebuilt
-// from the coordinator's subgraph mirrors on surviving (or spare)
-// workers, and the faulted phase is retried against the repaired
-// assignment — the op stream is epoch-fenced so a survivor that had
+// mid-batch (transport death, replica divergence) does not poison by
+// default: the dead worker is quarantined, a spare (if any) is built
+// from the coordinator's graph, and the faulted phase is retried on the
+// repaired fleet — the op stream is epoch-fenced so a survivor that had
 // already applied the in-flight flush never double-applies (see
-// recovery.go). Only when no capacity survives or
-// the failover budget (WithFailoverRetries) is spent does the old
-// terminal path fire: an error wrapping shard.ErrSubstrateLost, with
-// the engine poisoned (Err reports the sticky loss) because the data
-// graph and the intra state may then disagree about which prefix of
-// the batch applied. Callers of a poisoned engine drain and rebuild.
+// recovery.go). Only when no worker survives or the failover budget
+// (WithFailoverRetries) is spent does the terminal path fire: an error
+// wrapping shard.ErrSubstrateLost, with the engine poisoned (Err
+// reports the sticky loss) because the data graph and the replicas may
+// then disagree about which prefix of the batch applied. Callers of a
+// poisoned engine drain and rebuild.
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
 	return e.ApplyDataBatchPre(ds, g, nil)
 }
@@ -81,7 +78,7 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 				perUpdate[i] = pre[i]
 			}
 		}
-	case e.remote:
+	case e.Remote():
 		e.withFailover(func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
 	default:
 		parallelFor(e.workers, len(ds), func(i int) {
@@ -100,23 +97,21 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 
 	e.span("pre_balls", phaseStart)
 
-	// Phase 2: structural application in update order. In-process
-	// shards apply each op as it is staged; remote shards receive the
-	// ordered op log as an epoch-fenced chunk stream that flushes in the
-	// background while staging continues, joining at the end of the
-	// phase. See stream.go. The row caches are stale afterwards.
+	// Phase 2: structural application in update order. Remote shards
+	// receive the ordered op log as an epoch-fenced chunk stream that
+	// flushes in the background while staging continues, joining at the
+	// end of the phase. See stream.go. The row caches are stale
+	// afterwards.
 	phaseStart = time.Now()
 	applied := make([]bool, len(ds))
 	var stream *opStreamer
-	if e.remote {
+	if e.Remote() {
 		stream = e.newOpStreamer()
 	}
 	stage := func(op shard.Op) {
 		if stream != nil {
 			stream.stage(op)
-			return
 		}
-		e.applyOps([]shard.Op{op})
 	}
 	for i, u := range ds {
 		switch u.Kind {
@@ -155,7 +150,7 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 
 	// Phase 3: post-state balls for insertions; assemble the change log.
 	phaseStart = time.Now()
-	if e.remote {
+	if e.Remote() {
 		e.withFailover(func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
 	} else {
 		parallelFor(e.workers, len(ds), func(i int) {

@@ -24,22 +24,21 @@ import (
 //
 // Layering: the engine is the *coordinator* of the substrate. It owns
 // the data graph, the partition bookkeeping (membership, bridge-node
-// counters, subgraph mirrors) and the row caches; the per-partition
-// SLen engines live behind the shard.Shard seam and are kept in sync
-// with every mutation. The default configuration wraps them in one
-// in-process shard (shard.Local); WithShards substitutes remote shard
-// workers (cmd/gpnm-shard over HTTP/JSON), which receive the op stream
-// and compute the batch's affected balls on their data-graph replicas.
-// No read touches a shard: ball rows always come from the coordinator's
-// graph, so a lost worker surfaces on the next mutation path (or health
-// sweep), where failover repairs it.
+// counters) and the row caches. An engine built without shards is
+// complete in itself. WithShards adds remote shard workers
+// (cmd/gpnm-shard over HTTP/JSON): each holds a replica of the data
+// graph, fed by the epoch-fenced op stream, and computes its slice of
+// the batch's affected balls on it. No read touches a shard: ball rows
+// always come from the coordinator's graph, so a lost worker surfaces
+// on the next mutation path (or health sweep), where failover repairs
+// it.
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
 // Insert*/Delete*, ApplyDataBatch, EnsureHorizon) concurrently, nor a
 // mutation concurrently with anything else. The engine itself fans
-// embarrassingly parallel phases (per-partition intra builds,
-// per-update affected balls, row prefetch) across a bounded worker pool
+// embarrassingly parallel phases (per-update affected balls, row
+// prefetch) across a bounded worker pool
 // sized by WithWorkers (and across shard processes when remote); every
 // parallel phase only reads shared structures and keeps its mutable
 // state in pooled per-worker scratch, with results installed from a
@@ -59,29 +58,20 @@ type Engine struct {
 	part    *Partitioning
 	horizon int
 
-	denseThreshold int
-	ellWidth       int
-	workers        int // worker pool bound (1 = serial)
-	nLocal         int // WithLocalShards count (0 = one)
-	opChunk        int // ops per streamed /ops chunk (≤ 0 = single end-of-phase flush)
+	workers int // worker pool bound (1 = serial)
+	opChunk int // ops per streamed /ops chunk (≤ 0 = single end-of-phase flush)
 
-	// shards host the per-partition intra engines; shardOf maps a
-	// partition index to its owning shard (round-robin over the alive
-	// slots for partitions created after construction). remote is set
-	// when the shards are out-of-process (every op is then also
-	// streamed to non-owning shards for data-graph replica maintenance,
-	// and conservative affected balls are computed shard-side).
+	// shards are the remote workers (none in process). Every op is
+	// streamed to every alive worker for replica maintenance, and
+	// conservative affected balls are computed worker-side.
 	//
-	// shardAlive quarantines lost slots: a dead slot's partitions are
-	// reassigned by the failover controller (recovery.go) and the slot
-	// either receives a promoted spare (same index, so in-flight ops'
-	// Op.Shard routing stays meaningful) or stays dead. spares are the
-	// standby workers -spare-shards configured, promoted in order.
+	// shardAlive quarantines lost slots: the failover controller
+	// (recovery.go) either promotes a spare into a dead slot or leaves
+	// it dead. spares are the standby workers -spare-shards configured,
+	// promoted in order.
 	shards     []shard.Shard
-	shardOf    []int32
 	shardAlive []bool
 	spares     []shard.Shard
-	remote     bool
 
 	// Failover state. failoverRetries is the per-mutation recovery
 	// budget (how many distinct losses one batch may absorb before the
@@ -181,9 +171,8 @@ func (f *shardFault) Unwrap() error { return f.err }
 // shardFail raises a failure of shard slot idx. Inside a
 // failover-protected phase (withFailover) it panics with a repairable
 // *shardFault — workpool.ForEach re-raises worker panics on the phase's
-// caller, where the failover controller quarantines the slot, rebuilds
-// its partitions from the coordinator's subgraph mirrors on survivors
-// or spares, and retries the phase. Outside such a phase (the
+// caller, where the failover controller quarantines the slot, promotes
+// a spare if one is left, and retries the phase. Outside such a phase (the
 // error-less DistanceEngine query surface, read between mutations) the
 // old discipline holds: record the sticky loss and panic with it until
 // a boundary method (ApplyDataBatch here, ApplyBatch/Register in
@@ -254,39 +243,23 @@ func (e *Engine) invalidate() {
 // Option configures the partition engine.
 type Option func(*Engine)
 
-// WithDenseThreshold forwards the dense-matrix threshold to the
-// per-partition engines.
-func WithDenseThreshold(n int) Option { return func(e *Engine) { e.denseThreshold = n } }
-
-// WithELLWidth forwards the hybrid ELL width to the per-partition engines.
-func WithELLWidth(k int) Option { return func(e *Engine) { e.ellWidth = k } }
-
-// WithWorkers bounds the engine's internal worker pool: per-partition
-// builds, batch affected-set balls and row prefetch all fan across up
-// to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs every phase
+// WithWorkers bounds the engine's internal worker pool: batch
+// affected-set balls and row prefetch fan across up to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs every phase
 // serially (the UA-GPNM-NoPar-comparable baseline).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithShards serves the per-partition intra engines from the given
-// shards instead of the default single in-process shard. Partitions
-// are assigned round-robin. Shards must be homogeneous: either all
-// in-process or all remote (remote shards need every op for replica
-// maintenance, which a mixed fleet would miss).
+// WithShards streams the op log to the given shard workers and fans
+// the batch's affected balls across them. Each worker receives every
+// op and holds the whole data graph.
 func WithShards(shs ...shard.Shard) Option {
 	return func(e *Engine) { e.shards = append([]shard.Shard(nil), shs...) }
 }
 
-// WithLocalShards splits the partitions round-robin across n in-process
-// shards instead of the default single one. Results are identical by
-// construction; this exists to exercise the multi-shard routing without
-// processes (the differential suite runs it alongside the RPC path).
-func WithLocalShards(n int) Option { return func(e *Engine) { e.nLocal = n } }
-
 // WithSpares holds the given remote shards in standby: when a serving
 // shard is lost, the failover controller promotes the next live spare
-// into the dead slot (full build from the coordinator's mirrors) before
-// falling back to packing the lost partitions onto survivors. Only
-// meaningful with remote shards.
+// into the dead slot (a full build from the coordinator's graph).
+// Without a spare the survivors carry on alone. Only meaningful with
+// remote shards.
 func WithSpares(shs ...shard.Shard) Option {
 	return func(e *Engine) { e.spares = append(e.spares, shs...) }
 }
@@ -308,13 +281,13 @@ func WithMetrics(reg *obs.Registry) Option {
 // overlapping shard-side application with the coordinator's continued
 // staging (see stream.go). n ≤ 0 disables streaming: the whole ordered
 // op list flushes in a single end-of-phase RPC per shard, the pre-stream
-// shape. The default is DefaultOpChunk. In-process fleets ignore it
-// (their ops apply synchronously as they are staged).
+// shape. The default is DefaultOpChunk. In-process engines ignore it
+// (they have no one to stream to).
 func WithOpChunk(n int) Option { return func(e *Engine) { e.opChunk = n } }
 
 // WithFailoverRetries bounds how many distinct shard losses one
-// failover boundary — a data batch's phases, a build, a horizon
-// widening, a health-sweep repair — may absorb before the engine gives
+// failover boundary — a data batch's phases, a single-update mutation,
+// a build, a health-sweep repair — may absorb before the engine gives
 // up and poisons itself with shard.ErrSubstrateLost. The budget re-arms
 // per boundary, so it bounds losses per operation, not per process.
 // The default is 1 — each faulted phase is retried exactly once against
@@ -331,11 +304,8 @@ func WithFailoverRetries(n int) Option {
 
 // NewEngine creates a partition-based SLen engine over g with the given
 // hop horizon (0 = exact). Call Build before querying.
-//
-// The per-partition engines default to the hybrid sparse backend even
-// for small partitions (denseThreshold 0).
 func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
-	e := &Engine{horizon: horizon, denseThreshold: 0, ellWidth: 8, failoverRetries: 1, opChunk: DefaultOpChunk, metrics: obs.Default}
+	e := &Engine{horizon: horizon, failoverRetries: 1, opChunk: DefaultOpChunk, metrics: obs.Default}
 	for _, o := range opts {
 		o(e)
 	}
@@ -343,30 +313,8 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	e.initPools()
-	e.part = newPartitioning(g, horizon)
-	if len(e.shards) == 0 {
-		n := e.nLocal
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			e.shards = append(e.shards, shard.NewLocal(e.subOf))
-		}
-	}
-	remotes := 0
-	for _, sh := range e.shards {
-		if sh.Remote() {
-			remotes++
-		}
-	}
-	if remotes > 0 {
-		if remotes != len(e.shards) {
-			//lint:allow panic constructor misuse invariant; a mixed fleet cannot exist after configuration validation
-			panic("partition: mixed in-process and remote shards")
-		}
-		e.remote = true
-	}
-	if len(e.spares) > 0 && !e.remote {
+	e.part = newPartitioning(g)
+	if len(e.spares) > 0 && !e.Remote() {
 		//lint:allow panic constructor misuse invariant; spare promotion only makes sense for remote fleets
 		panic("partition: spare shards require a remote shard fleet")
 	}
@@ -381,21 +329,14 @@ func (e *Engine) initPools() {
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 }
 
-// subOf is the subgraph accessor handed to in-process shards.
-func (e *Engine) subOf(part int) *graph.Graph { return e.part.parts[part].sub }
-
 // Workers reports the engine's worker pool bound.
 func (e *Engine) Workers() int { return e.workers }
-
-// Shards reports how many shard slots serve the partitions
-// (1 = in-process); quarantined slots are included.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // AliveShards reports how many shard slots are currently serving.
 func (e *Engine) AliveShards() int { return len(e.aliveIndices()) }
 
-// Remote reports whether the shards are out-of-process workers.
-func (e *Engine) Remote() bool { return e.remote }
+// Remote reports whether the engine has shard workers.
+func (e *Engine) Remote() bool { return len(e.shards) > 0 }
 
 // Recovered reports how many shard losses the engine has absorbed
 // through failover over its lifetime. The hub folds the per-batch delta
@@ -412,13 +353,7 @@ func (e *Engine) Recovering() bool { return e.recoveringFlag.Load() }
 // precedes the flush, so a snapshot taken now reflects every op of the
 // current epoch).
 func (e *Engine) shardConfig() shard.Config {
-	return shard.Config{
-		Horizon:        e.horizon,
-		DenseThreshold: e.denseThreshold,
-		ELLWidth:       e.ellWidth,
-		Workers:        e.workers,
-		Epoch:          e.opEpoch,
-	}
+	return shard.Config{Workers: e.workers, Epoch: e.opEpoch}
 }
 
 // aliveIndices lists the shard slots currently serving.
@@ -432,36 +367,6 @@ func (e *Engine) aliveIndices() []int {
 	return out
 }
 
-// nextAliveShard picks the alive slot at or round-robin after hint.
-func (e *Engine) nextAliveShard(hint int) int32 {
-	n := len(e.shards)
-	for k := 0; k < n; k++ {
-		if s := (hint + k) % n; e.shardAlive[s] {
-			return int32(s)
-		}
-	}
-	//lint:allow panic recovery never leaves zero alive slots behind; reaching this is a broken controller invariant
-	panic("partition: no alive shard to assign")
-}
-
-// assignShards extends the partition → shard map round-robin over any
-// partitions created since the last call (skipping quarantined slots).
-func (e *Engine) assignShards() {
-	for len(e.shardOf) < len(e.part.parts) {
-		e.shardOf = append(e.shardOf, e.nextAliveShard(len(e.shardOf)))
-	}
-}
-
-// groupByShard buckets every partition under its owning slot in one
-// pass over shardOf.
-func (e *Engine) groupByShard() [][]int {
-	owned := make([][]int, len(e.shards))
-	for p, s := range e.shardOf {
-		owned[s] = append(owned[s], p)
-	}
-	return owned
-}
-
 // nextOpEpoch issues the fence for one remote op flush (single-writer).
 func (e *Engine) nextOpEpoch() uint64 {
 	e.opEpoch++
@@ -469,61 +374,30 @@ func (e *Engine) nextOpEpoch() uint64 {
 }
 
 // resetFailoverBudget re-arms the recovery budget at each mutation
-// boundary: one batch (or build, or widening) may absorb up to
+// boundary: one batch (or single update, or build) may absorb up to
 // failoverRetries distinct shard losses before poisoning.
 func (e *Engine) resetFailoverBudget() { e.recoveryBudget = e.failoverRetries }
 
-// engineSource exposes coordinator state for shard builds (shard.Source).
-// The full-graph snapshot is computed at most once per Build — every
-// remote shard asks for it, and re-walking a sharding-scale edge list
-// N times (holding N copies) would dominate build cost.
-type engineSource struct {
-	e    *Engine
-	once sync.Once
-	g    shard.Snapshot
-}
-
-func (s *engineSource) NumParts() int { return len(s.e.part.parts) }
-func (s *engineSource) PartSnapshot(i int) shard.Snapshot {
-	return shard.Snap(i, s.e.part.parts[i].sub)
-}
-func (s *engineSource) GraphSnapshot() shard.Snapshot {
-	s.once.Do(func() { s.g = shard.Snap(-1, s.e.part.g) })
-	return s.g
-}
-
-// Build computes every partition's intra distances (fanned across the
-// shards, each fanning across its own pool). A worker lost during a
-// remote build is failed over like any other loss: its partitions move
-// to survivors or spares and the build retries.
+// Build ships the data graph to every remote shard, overlapping the
+// builds; an in-process engine has nothing to ship. A worker lost
+// during the build is failed over like any other loss and the build
+// retries on the repaired fleet.
 func (e *Engine) Build() {
 	e.ensureUsable()
 	e.resetFailoverBudget()
-	e.assignShards()
-	e.withFailover(func() {
-		cfg := e.shardConfig()
-		src := &engineSource{e: e}
-		owned := e.groupByShard()
-		if e.remote {
+	if e.Remote() {
+		snap := shard.Snap(e.part.g)
+		e.withFailover(func() {
+			cfg := e.shardConfig()
 			alive := e.aliveIndices()
-			// Remote builds block on the worker; overlap them.
 			parallelFor(len(alive), len(alive), func(k int) {
 				i := alive[k]
-				if err := e.shards[i].Build(cfg, i, owned[i], src); err != nil {
+				if err := e.shards[i].Build(cfg, snap); err != nil {
 					e.shardFail(i, err)
 				}
 			})
-			return
-		}
-		// In-process shards fan partitions across the full pool
-		// themselves; building them one after another avoids
-		// oversubscribing it.
-		for i, sh := range e.shards {
-			if err := sh.Build(cfg, i, owned[i], src); err != nil {
-				e.shardFail(i, err)
-			}
-		}
-	})
+		})
+	}
 	e.invalidate()
 }
 
@@ -690,57 +564,29 @@ func (e *Engine) PreviewInsertEdge(u, v uint32) nodeset.Set {
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
 	e.ensureUsable()
 	e.resetFailoverBudget()
-	e.applyOps([]shard.Op{e.stageInsertEdge(u, v)})
+	e.applyOp(e.stageInsertEdge(u, v))
 	e.invalidate()
 	return e.conservativeEdgeAffected(u, v)
 }
 
 // stageInsertEdge records edge (u,v) in the coordinator's partition
-// structures (the graph must already contain it) and returns the op the
-// owning shard must apply.
+// bookkeeping (the graph must already contain it) and returns the op
+// the shards must apply.
 func (e *Engine) stageInsertEdge(u, v uint32) shard.Op {
-	op := shard.Op{Kind: shard.OpEdgeInsert, From: u, To: v, Part: -1, Shard: -1}
-	pu, pv := e.part.partIndex(u), e.part.partIndex(v)
-	if pu == pv {
-		pt := e.part.parts[pu]
-		lu, lv := e.part.localOf[u], e.part.localOf[v]
-		pt.sub.AddEdge(lu, lv)
-		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(e.shardOf[pu]), lu, lv
-	} else {
-		e.part.noteCross(u, v, +1)
-	}
-	return op
+	e.part.noteEdge(u, v, +1)
+	return shard.Op{Kind: shard.OpEdgeInsert, From: u, To: v}
 }
 
-// applyOps hands staged ops to the shards. In-process shards receive
-// only the ops they own, one at a time in op order; remote shards each
-// receive the full stream (replica-only ops included) in one
-// epoch-fenced RPC, overlapped across shards. The remote flush is
-// failover-protected: a worker lost mid-flush is quarantined, its
-// partitions rebuilt from the coordinator's mirrors, and the same epoch
-// re-flushed — survivors that already applied it acknowledge without
-// re-applying.
-func (e *Engine) applyOps(ops []shard.Op) {
-	if len(ops) == 0 {
+// applyOp streams one staged op to the remote shards in its own
+// epoch-fenced flush, overlapped across shards (an in-process engine
+// has nothing to send). The flush is failover-protected: a worker lost
+// mid-flush is quarantined and the same epoch re-flushed — survivors
+// that already applied it acknowledge without re-applying.
+func (e *Engine) applyOp(op shard.Op) {
+	if !e.Remote() {
 		return
 	}
-	if !e.remote {
-		for _, op := range ops {
-			if op.Shard < 0 {
-				continue
-			}
-			// In-process shards are always *shard.Local; the single-op
-			// fast path keeps phase 2 allocation-free like the monolith.
-			if l, ok := e.shards[op.Shard].(*shard.Local); ok {
-				l.ApplyOp(op)
-				continue
-			}
-			if err := e.shards[op.Shard].ApplyOps(0, []shard.Op{op}); err != nil {
-				e.shardFail(op.Shard, err)
-			}
-		}
-		return
-	}
+	ops := []shard.Op{op}
 	epoch := e.nextOpEpoch()
 	e.withFailover(func() { e.flushOps(epoch, ops) })
 }
@@ -771,47 +617,33 @@ func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
 	e.ensureUsable()
 	e.resetFailoverBudget()
 	aff := e.conservativeEdgeAffected(u, v)
-	e.applyOps([]shard.Op{e.stageDeleteEdge(u, v)})
+	e.applyOp(e.stageDeleteEdge(u, v))
 	e.invalidate()
 	return aff
 }
 
 // stageDeleteEdge removes edge (u,v) from the coordinator's partition
-// structures (the graph must already have dropped it) and returns the
-// op for the owning shard.
+// bookkeeping (the graph must already have dropped it) and returns the
+// op for the shards.
 func (e *Engine) stageDeleteEdge(u, v uint32) shard.Op {
-	op := shard.Op{Kind: shard.OpEdgeDelete, From: u, To: v, Part: -1, Shard: -1}
-	pu, pv := e.part.partIndex(u), e.part.partIndex(v)
-	if pu == pv {
-		pt := e.part.parts[pu]
-		lu, lv := e.part.localOf[u], e.part.localOf[v]
-		pt.sub.RemoveEdge(lu, lv)
-		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(e.shardOf[pu]), lu, lv
-	} else {
-		e.part.noteCross(u, v, -1)
-	}
-	return op
+	e.part.noteEdge(u, v, -1)
+	return shard.Op{Kind: shard.OpEdgeDelete, From: u, To: v}
 }
 
 // InsertNode registers a freshly added (isolated) node.
 func (e *Engine) InsertNode(id uint32) nodeset.Set {
 	e.ensureUsable()
 	e.resetFailoverBudget()
-	e.applyOps([]shard.Op{e.stageInsertNode(id)})
+	e.applyOp(e.stageInsertNode(id))
 	e.invalidate()
 	return nodeset.New(id)
 }
 
 // stageInsertNode registers id in its label's partition (creating the
-// partition — and its shard assignment — if needed) and returns the op
-// for the owning shard.
+// partition if needed) and returns the op for the shards.
 func (e *Engine) stageInsertNode(id uint32) shard.Op {
-	pi := e.part.addToPart(id)
-	e.assignShards()
-	return shard.Op{
-		Kind: shard.OpNodeInsert, Node: id,
-		Part: int(pi), Shard: int(e.shardOf[pi]), Local: e.part.localOf[id],
-	}
+	e.part.addToPart(id)
+	return shard.Op{Kind: shard.OpNodeInsert, Node: id}
 }
 
 // PreviewDeleteNode returns the affected superset for deleting node id
@@ -843,125 +675,44 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 		}
 	}
 	aff := e.nodeAffected(id, outs, ins)
-	e.applyOps([]shard.Op{e.stageDeleteNode(id, removed)})
+	e.applyOp(e.stageDeleteNode(id, removed))
 	e.invalidate()
 	return aff
 }
 
 // stageDeleteNode removes node id from the coordinator's partition
-// structures (the graph must already have dropped it and its incident
-// edges, passed as removed) and returns the op for the owning shard.
+// bookkeeping (the graph must already have dropped it and its incident
+// edges, passed as removed) and returns the op for the shards.
 func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge) shard.Op {
-	pi := e.part.partIndex(id)
-	pt := e.part.parts[pi]
-	for _, ed := range removed {
-		if e.part.partIndex(ed.From) == e.part.partIndex(ed.To) {
-			continue // intra edges fall with RemoveNode below
-		}
-		e.part.noteCross(ed.From, ed.To, -1)
-	}
-	local := e.part.localOf[id]
-	removedLocal, _ := pt.sub.RemoveNode(local)
-	e.part.partOf[id] = none
-	rl := make([]shard.Edge, len(removedLocal))
-	for i, ed := range removedLocal {
-		rl[i] = shard.Edge{From: ed.From, To: ed.To}
-	}
-	return shard.Op{
-		Kind: shard.OpNodeDelete, Node: id,
-		Part: int(pi), Shard: int(e.shardOf[pi]), Local: local, RemovedLocal: rl,
-	}
+	e.part.removeNode(id, removed)
+	return shard.Op{Kind: shard.OpNodeDelete, Node: id}
 }
 
-// EnsureHorizon widens a capped engine to cover bound k, rebuilding the
-// per-partition engines (shard-side).
+// EnsureHorizon widens a capped engine to cover bound k. Rows are BFS
+// balls and every /affected request carries the horizon, so widening
+// only drops the row cache.
 func (e *Engine) EnsureHorizon(k int) {
 	if e.horizon == 0 || k <= e.horizon {
 		return
 	}
 	e.ensureUsable()
-	e.resetFailoverBudget()
 	e.horizon = k
-	e.part.horizon = k
-	e.withFailover(func() {
-		if e.remote {
-			alive := e.aliveIndices()
-			parallelFor(len(alive), len(alive), func(j int) {
-				i := alive[j]
-				if err := e.shards[i].EnsureHorizon(k); err != nil {
-					e.shardFail(i, err)
-				}
-			})
-			return
-		}
-		for i, sh := range e.shards {
-			if err := sh.EnsureHorizon(k); err != nil {
-				e.shardFail(i, err)
-			}
-		}
-	})
 	e.invalidate()
 }
 
 // CloneFor returns an independent copy of the engine operating on g2,
-// a clone of the engine's graph. In-process shards are deep-copied;
-// remote shards cannot be cloned (the worker holds the state), so the
-// clone collapses onto one freshly built in-process shard over the
-// coordinator's subgraph mirrors — same distances, local serving.
+// a clone of the engine's graph: a plain in-process engine with no
+// shards, whatever the original's fleet.
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	c := &Engine{
-		horizon:         e.horizon,
-		denseThreshold:  e.denseThreshold,
-		ellWidth:        e.ellWidth,
-		workers:         e.workers,
-		failoverRetries: e.failoverRetries,
+		part:    e.part.clone(g2),
+		horizon: e.horizon,
+		workers: e.workers,
 		// The clone shares the parent's registry but not its trace sink:
 		// a forked engine's batches are their own, not the parent batch's.
 		metrics: e.metrics,
 	}
 	c.initPools()
-	p := e.part
-	cp := &Partitioning{
-		g:        g2,
-		horizon:  p.horizon,
-		partOf:   append([]int32(nil), p.partOf...),
-		localOf:  append([]uint32(nil), p.localOf...),
-		byLabel:  make(map[graph.LabelID]int32, len(p.byLabel)),
-		crossOut: append([]int32(nil), p.crossOut...),
-		crossIn:  append([]int32(nil), p.crossIn...),
-	}
-	for k, v := range p.byLabel {
-		cp.byLabel[k] = v
-	}
-	for _, pt := range p.parts {
-		cp.parts = append(cp.parts, &part{
-			label:   pt.label,
-			sub:     pt.sub.Clone(),
-			globals: append([]uint32(nil), pt.globals...),
-			exits:   append([]uint32(nil), pt.exits...),
-			entries: append([]uint32(nil), pt.entries...),
-		})
-	}
-	c.part = cp
-	if e.remote {
-		l := shard.NewLocal(c.subOf)
-		c.shards = []shard.Shard{l}
-		c.shardOf = make([]int32, len(cp.parts))
-		all := make([]int, len(cp.parts))
-		for i := range all {
-			all[i] = i
-		}
-		_ = l.Build(c.shardConfig(), 0, all, &engineSource{e: c}) // in-process: never errors
-	} else {
-		c.shardOf = append([]int32(nil), e.shardOf...)
-		for _, sh := range e.shards {
-			c.shards = append(c.shards, sh.(*shard.Local).Clone(c.subOf))
-		}
-	}
-	c.shardAlive = make([]bool, len(c.shards))
-	for i := range c.shardAlive {
-		c.shardAlive[i] = true
-	}
 	return c
 }
 
@@ -974,19 +725,19 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 // never a per-update loop. post selects the insertion (post-state)
 // pass; otherwise the deletion (pre-state) pass runs.
 func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, post bool, applied []bool, perUpdate []nodeset.Set) {
-	var reqs []shard.AffectedReq
+	var reqs []shard.Op
 	var idx []int
 	for i, u := range ds {
 		if !post {
 			switch u.Kind {
 			case updates.DataEdgeDelete:
 				if g.HasEdge(u.From, u.To) {
-					reqs = append(reqs, shard.AffectedReq{Kind: shard.OpEdgeDelete, From: u.From, To: u.To})
+					reqs = append(reqs, shard.Op{Kind: shard.OpEdgeDelete, From: u.From, To: u.To})
 					idx = append(idx, i)
 				}
 			case updates.DataNodeDelete:
 				if g.Alive(u.Node) {
-					reqs = append(reqs, shard.AffectedReq{Kind: shard.OpNodeDelete, Node: u.Node})
+					reqs = append(reqs, shard.Op{Kind: shard.OpNodeDelete, Node: u.Node})
 					idx = append(idx, i)
 				}
 			}
@@ -997,7 +748,7 @@ func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, post bool, 
 		}
 		switch u.Kind {
 		case updates.DataEdgeInsert:
-			reqs = append(reqs, shard.AffectedReq{Kind: shard.OpEdgeInsert, From: u.From, To: u.To})
+			reqs = append(reqs, shard.Op{Kind: shard.OpEdgeInsert, From: u.From, To: u.To})
 			idx = append(idx, i)
 		case updates.DataNodeInsert:
 			perUpdate[i] = nodeset.New(u.Node)
@@ -1010,7 +761,7 @@ func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, post bool, 
 	// retried phase re-slices against the repaired fleet.
 	alive := e.aliveIndices()
 	ns := len(alive)
-	slices := make([][]shard.AffectedReq, ns)
+	slices := make([][]shard.Op, ns)
 	sliceIdx := make([][]int, ns)
 	for j := range reqs {
 		s := j % ns
@@ -1021,7 +772,7 @@ func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, post bool, 
 		if len(slices[s]) == 0 {
 			return
 		}
-		sets, err := e.shards[alive[s]].Affected(slices[s])
+		sets, err := e.shards[alive[s]].Affected(e.horizon, slices[s])
 		if err != nil {
 			e.shardFail(alive[s], err)
 		}

@@ -1,12 +1,10 @@
 // Package partition implements §V of the paper: the label-based graph
-// partition and the partition-based shortest-path-length computation
-// that UA-GPNM uses in place of a single global SLen matrix.
+// partition and the bridge nodes where partitions meet.
 //
 // Nodes sharing a (primary) label form one partition — the paper's
 // observation, after Brandes et al., is that same-role nodes connect
-// densely, so most edges are intra-partition. Each partition keeps its
-// own induced subgraph with a private SLen engine (intra-partition
-// distances), and the partitions meet at the bridge nodes:
+// densely, so most edges are intra-partition. The partitions meet at
+// the bridge nodes:
 //
 //   - inner bridge node of Pi (Def. 1): a node of Pi with an out-edge
 //     leaving Pi ("exit");
@@ -17,9 +15,11 @@
 // The matcher asks the substrate only for bounded balls, and the Engine
 // answers every ball — cross-partition ones included — by bounded BFS
 // over the data graph (see engine.go). The paper's Algorithms 4–5
-// stitch cross-partition distances out of intra distances and bridge
-// hops instead; the engine does not, because measured, stitched rows
-// never beat BFS rows (see EXPERIMENTS.md).
+// stitch cross-partition distances out of per-partition SLen matrices
+// and bridge hops instead; the engine keeps no per-partition matrices,
+// because measured, stitched rows never beat BFS rows (see
+// EXPERIMENTS.md). What remains of the partition is its bookkeeping:
+// label membership, the cross-edge counters and the bridge lists.
 package partition
 
 import (
@@ -32,15 +32,11 @@ import (
 // none marks "no partition" for dead or unseen node ids.
 const none = int32(-1)
 
-// part is one label-based partition: the induced subgraph over its
-// members (intra edges only). The subgraph is the coordinator's mirror
-// of the partition state; the partition's private SLen engine lives
-// behind the shard seam (internal/shard) and is reached through the
-// Engine's shard table.
+// part is one label-based partition: its live-member count and its
+// bridge nodes.
 type part struct {
-	label   graph.LabelID
-	sub     *graph.Graph // local-id induced subgraph (coordinator mirror)
-	globals []uint32     // local id → global id (tombstones preserved)
+	label graph.LabelID
+	live  int // live members
 
 	// exits and entries hold the partition's bridge nodes by global id,
 	// sorted (exits = inner bridge nodes, entries = targets of inbound
@@ -49,48 +45,33 @@ type part struct {
 	entries []uint32
 }
 
-// Partitioning maintains the label partition of a data graph, the
-// per-partition subgraphs/engines, and the bridge-node bookkeeping.
+// Partitioning maintains the label partition of a data graph and the
+// bridge-node bookkeeping.
 type Partitioning struct {
-	g       *graph.Graph
-	horizon int
+	g *graph.Graph
 
-	partOf  []int32  // global id → part index (none when dead)
-	localOf []uint32 // global id → local id within its part
+	partOf  []int32 // node id → part index (none when dead)
 	parts   []*part
 	byLabel map[graph.LabelID]int32
 
-	// crossOut/crossIn count cross-partition out-/in-edges per global id;
+	// crossOut/crossIn count cross-partition out-/in-edges per node id;
 	// a node is an exit iff crossOut > 0 and an entry iff crossIn > 0.
 	crossOut []int32
 	crossIn  []int32
 }
 
-// newPartitioning builds the partition structure for g (the intra
-// engines are the shards' to build; the Engine drives that).
-func newPartitioning(g *graph.Graph, horizon int) *Partitioning {
-	p := &Partitioning{
-		g:       g,
-		horizon: horizon,
-		byLabel: make(map[graph.LabelID]int32),
-	}
+// newPartitioning builds the partition structure for g.
+func newPartitioning(g *graph.Graph) *Partitioning {
+	p := &Partitioning{g: g, byLabel: make(map[graph.LabelID]int32)}
 	n := g.NumIDs()
 	p.partOf = make([]int32, n)
-	p.localOf = make([]uint32, n)
 	p.crossOut = make([]int32, n)
 	p.crossIn = make([]int32, n)
 	for i := range p.partOf {
 		p.partOf[i] = none
 	}
 	g.Nodes(func(id uint32) { p.addToPart(id) })
-	g.Edges(func(e graph.Edge) {
-		if p.partOf[e.From] == p.partOf[e.To] {
-			pt := p.parts[p.partOf[e.From]]
-			pt.sub.AddEdge(p.localOf[e.From], p.localOf[e.To])
-		} else {
-			p.noteCross(e.From, e.To, +1)
-		}
-	})
+	g.Edges(func(e graph.Edge) { p.noteEdge(e.From, e.To, +1) })
 	return p
 }
 
@@ -105,37 +86,33 @@ func (p *Partitioning) primaryLabel(id uint32) graph.LabelID {
 	return labs[0]
 }
 
-// addToPart registers global node id in its label's partition, creating
-// the partition if needed, and returns the part index.
-func (p *Partitioning) addToPart(id uint32) int32 {
+// addToPart registers node id in its label's partition, creating the
+// partition if needed.
+func (p *Partitioning) addToPart(id uint32) {
 	lab := p.primaryLabel(id)
 	pi, ok := p.byLabel[lab]
 	if !ok {
 		pi = int32(len(p.parts))
 		p.byLabel[lab] = pi
-		p.parts = append(p.parts, &part{label: lab, sub: graph.New(p.g.Labels())})
+		p.parts = append(p.parts, &part{label: lab})
 	}
-	pt := p.parts[pi]
-	local := pt.sub.AddNodeLabelIDs(lab)
-	pt.globals = append(pt.globals, id)
-	p.growTo(int(id) + 1)
-	p.partOf[id] = pi
-	p.localOf[id] = local
-	return pi
-}
-
-func (p *Partitioning) growTo(n int) {
-	for len(p.partOf) < n {
+	p.parts[pi].live++
+	for len(p.partOf) <= int(id) {
 		p.partOf = append(p.partOf, none)
-		p.localOf = append(p.localOf, 0)
 		p.crossOut = append(p.crossOut, 0)
 		p.crossIn = append(p.crossIn, 0)
 	}
+	p.partOf[id] = pi
 }
 
-// noteCross adjusts the cross-edge counters for edge (u,v) by delta
-// (+1 insert, -1 delete) and keeps the exit/entry lists in sync.
-func (p *Partitioning) noteCross(u, v uint32, delta int32) {
+// noteEdge records the insertion (delta +1) or deletion (delta -1) of
+// edge (u,v). Only a cross-partition edge changes the bookkeeping: it
+// adjusts the cross-edge counters and keeps the exit/entry lists in
+// sync.
+func (p *Partitioning) noteEdge(u, v uint32, delta int32) {
+	if p.partOf[u] == p.partOf[v] {
+		return
+	}
 	wasExit, wasEntry := p.crossOut[u] > 0, p.crossIn[v] > 0
 	p.crossOut[u] += delta
 	p.crossIn[v] += delta
@@ -157,6 +134,40 @@ func (p *Partitioning) noteCross(u, v uint32, delta int32) {
 	}
 }
 
+// removeNode drops node id from its partition; removed are its incident
+// edges, already gone from the graph (as graph.RemoveNode returns them).
+func (p *Partitioning) removeNode(id uint32, removed []graph.Edge) {
+	for _, ed := range removed {
+		p.noteEdge(ed.From, ed.To, -1)
+	}
+	p.parts[p.partOf[id]].live--
+	p.partOf[id] = none
+}
+
+// clone copies the bookkeeping for an engine clone over g2, a clone of
+// p's graph.
+func (p *Partitioning) clone(g2 *graph.Graph) *Partitioning {
+	c := &Partitioning{
+		g:        g2,
+		partOf:   append([]int32(nil), p.partOf...),
+		byLabel:  make(map[graph.LabelID]int32, len(p.byLabel)),
+		crossOut: append([]int32(nil), p.crossOut...),
+		crossIn:  append([]int32(nil), p.crossIn...),
+	}
+	for k, v := range p.byLabel {
+		c.byLabel[k] = v
+	}
+	for _, pt := range p.parts {
+		c.parts = append(c.parts, &part{
+			label:   pt.label,
+			live:    pt.live,
+			exits:   append([]uint32(nil), pt.exits...),
+			entries: append([]uint32(nil), pt.entries...),
+		})
+	}
+	return c
+}
+
 // partIndex returns the part index of a global id (none when dead).
 func (p *Partitioning) partIndex(id uint32) int32 {
 	if int(id) >= len(p.partOf) {
@@ -176,7 +187,8 @@ func (p *Partitioning) InnerBridgeNodes(lab graph.LabelID) []uint32 {
 }
 
 // OuterBridgeNodes returns OB(P) for the partition labelled lab (paper
-// Def. 2): the targets of cross edges leaving the partition, by global id.
+// Def. 2): the out-neighbours of P's exits that lie outside P, by
+// global id.
 func (p *Partitioning) OuterBridgeNodes(lab graph.LabelID) []uint32 {
 	pi, ok := p.byLabel[lab]
 	if !ok {
@@ -184,9 +196,8 @@ func (p *Partitioning) OuterBridgeNodes(lab graph.LabelID) []uint32 {
 	}
 	var out []uint32
 	seen := map[uint32]bool{}
-	for _, local := range liveLocals(p.parts[pi]) {
-		gid := p.parts[pi].globals[local]
-		for _, v := range p.g.Out(gid) {
+	for _, u := range p.parts[pi].exits {
+		for _, v := range p.g.Out(u) {
 			if p.partOf[v] != pi && !seen[v] {
 				seen[v] = true
 				out = append(out, v)
@@ -195,12 +206,6 @@ func (p *Partitioning) OuterBridgeNodes(lab graph.LabelID) []uint32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func liveLocals(pt *part) []uint32 {
-	var locals []uint32
-	pt.sub.Nodes(func(l uint32) { locals = append(locals, l) })
-	return locals
 }
 
 // Stats summarises the partitioning for reports.
@@ -214,22 +219,24 @@ type Stats struct {
 	SmallestPart int
 }
 
-// ComputeStats walks the structure once.
+// ComputeStats walks the structure once. Every edge the cross counters
+// do not hold is intra-partition.
 func (p *Partitioning) ComputeStats() Stats {
 	s := Stats{Parts: len(p.parts), SmallestPart: int(^uint(0) >> 1)}
 	for _, pt := range p.parts {
-		n := pt.sub.NumNodes()
-		if n > s.LargestPart {
-			s.LargestPart = n
+		if pt.live > s.LargestPart {
+			s.LargestPart = pt.live
 		}
-		if n < s.SmallestPart {
-			s.SmallestPart = n
+		if pt.live < s.SmallestPart {
+			s.SmallestPart = pt.live
 		}
-		s.IntraEdges += pt.sub.NumEdges()
 		s.ExitNodes += len(pt.exits)
 		s.EntryNodes += len(pt.entries)
 	}
-	s.CrossEdges = p.g.NumEdges() - s.IntraEdges
+	for _, c := range p.crossOut {
+		s.CrossEdges += int(c)
+	}
+	s.IntraEdges = p.g.NumEdges() - s.CrossEdges
 	if s.Parts == 0 {
 		s.SmallestPart = 0
 	}

@@ -10,15 +10,15 @@ import (
 
 // This file is the failover controller of the sharded §V substrate:
 // the piece that turns "a gpnm-shard worker died" from a session-ending
-// poison into a repaired assignment and a retried phase.
+// poison into a quarantined slot and a retried phase.
 //
 // Why the coordinator can always recover: it never delegates state it
-// cannot reproduce. The data graph, the per-partition subgraph mirrors
-// and the bridge bookkeeping all live coordinator-side; a shard only
-// holds the intra SLen engines *derived* from those mirrors.
-// Coordinator staging also strictly precedes every shard flush, so at
-// any fault the mirrors reflect the full in-flight batch and a rebuild
-// from them is exactly the state the dead worker would have reached.
+// cannot reproduce. The data graph and the partition bookkeeping live
+// coordinator-side; a worker only holds a replica of the graph, and
+// every worker holds all of it. Coordinator staging also strictly
+// precedes every shard flush, so at any fault the coordinator's graph
+// reflects the full in-flight batch and a build from it is exactly the
+// state the dead worker would have reached.
 //
 // The recovery sequence, run from the single-writer mutation context
 // (no concurrent readers exist during a mutation, so the shard table
@@ -29,20 +29,16 @@ import (
 //     it may have diverged); every other alive slot is probed with a
 //     short Ping and joins the dead set on failure.
 //  2. Promote. Each dead slot takes the next live spare, keeping its
-//     slot index — in-flight ops carry Op.Shard routing, and a stable
-//     index keeps it meaningful. Promoted spares get a full Build
-//     (replica + owned partitions) from the coordinator's current
-//     mirrors, fenced at the current op epoch so a subsequent retry of
+//     slot index. A promoted spare gets a /build of the coordinator's
+//     graph, fenced at the current op epoch so a subsequent retry of
 //     the in-flight flush cannot double-apply.
-//  3. Reassign. Partitions on slots that stayed dead move round-robin
-//     onto the survivors, which absorb them via Rebuild (partition
-//     snapshots only; their replica and fence survive, and the epoch
-//     fence reconciles whether or not they had applied the in-flight
-//     flush before the loss).
+//  3. Retry. The caller retries the faulted phase, which re-slices
+//     /affected over the alive slots. Survivors need no repair: they
+//     already serve every ball, and the epoch fence reconciles whether
+//     or not they had applied the in-flight flush before the loss.
 //
-// The caller then retries the faulted phase against the repaired
-// assignment. Terminal poison (shard.ErrSubstrateLost) remains the
-// fallback when nothing survives or the per-mutation budget is spent.
+// Terminal poison (shard.ErrSubstrateLost) remains the fallback when
+// nothing survives or the per-mutation budget is spent.
 
 // ShardProbe is a snapshot of one alive shard slot, taken for an
 // off-path health probe: the slot index plus the exact client serving
@@ -59,10 +55,10 @@ type ShardProbe struct {
 // are safe to Ping WITHOUT it — shard clients are concurrency-safe, and
 // the worst a racing recovery can do is Close one, which just makes the
 // ping fail against a slot SweepRepair will then recognise as already
-// handled. Returns nil for in-process fleets and poisoned engines:
-// neither has anything to sweep.
+// handled. Returns nil for engines without shards and poisoned
+// engines: neither has anything to sweep.
 func (e *Engine) ShardProbes() []ShardProbe {
-	if !e.remote || e.Err() != nil {
+	if !e.Remote() || e.Err() != nil {
 		return nil
 	}
 	alive := e.aliveIndices()
@@ -74,9 +70,9 @@ func (e *Engine) ShardProbes() []ShardProbe {
 }
 
 // SweepRepair repairs the fleet after an off-path probe of p failed
-// with pingErr, using the same quarantine/promote/reassign/rebuild
-// sequence a mid-batch fault triggers — just discovered between batches
-// instead of by the next batch's first RPC. The caller must hold
+// with pingErr, using the same quarantine/promote sequence a mid-batch
+// fault triggers — just discovered between batches instead of by the
+// next batch's first RPC. The caller must hold
 // exclusive access to the engine. A probe overtaken by an interleaved
 // recovery — the slot already quarantined, or serving a different
 // client than the one probed — is skipped (reported false): the fleet
@@ -117,14 +113,8 @@ func (e *Engine) runRecoverable(phase func()) (f *shardFault) {
 // on loss until the phase completes or the recovery budget is spent.
 // Phases must be idempotent against the coordinator's own state (every
 // protected phase is: ball phases overwrite their outputs, the op flush
-// is epoch-fenced).
+// is epoch-fenced). Only engines with shards run protected phases.
 func (e *Engine) withFailover(phase func()) {
-	if !e.remote {
-		// In-process shards never fail operationally; keep the serial
-		// path bit-for-bit.
-		phase()
-		return
-	}
 	for {
 		f := e.runRecoverable(phase)
 		if f == nil {
@@ -160,12 +150,13 @@ func (e *Engine) recoverFault(f *shardFault) {
 	e.recoveredN.Add(1)
 }
 
-// recoverShards repairs the shard assignment after slot f.idx faulted.
-// It loops until a pass completes with every build/rebuild succeeding —
-// workers that die during recovery simply join the dead set of the next
-// pass — or until no serving capacity remains.
+// recoverShards repairs the shard fleet after slot f.idx faulted. It
+// loops until a pass completes with every spare build succeeding —
+// workers that die during recovery simply join the dead set of the
+// next pass — or until no serving capacity remains.
 func (e *Engine) recoverShards(f *shardFault) error {
 	suspect := map[int]bool{f.idx: true}
+	var snap *shard.Snapshot // the graph, captured once if a spare needs it
 	for pass := 0; ; pass++ {
 		if pass > len(e.shards)+len(e.spares)+1 {
 			return errors.New("recovery did not converge")
@@ -192,8 +183,13 @@ func (e *Engine) recoverShards(f *shardFault) error {
 		suspect = map[int]bool{}
 		e.span("recovery_probe", probeStart)
 
-		// 2. Promote spares into dead slots (slot index preserved).
-		fresh := map[int]bool{}
+		// 2. Promote spares into dead slots (slot index preserved) and
+		// build each from the coordinator's graph. The fence in
+		// cfg.Epoch marks the snapshot as already containing the
+		// in-flight flush.
+		rebuildStart := time.Now()
+		cfg := e.shardConfig()
+		ok := true
 		for i := range e.shards {
 			if e.shardAlive[i] {
 				continue
@@ -208,59 +204,26 @@ func (e *Engine) recoverShards(f *shardFault) error {
 				}
 				e.shards[i] = sp
 				e.shardAlive[i] = true
-				fresh[i] = true
 				e.metrics.Counter("gpnm_recovery_promoted_total").Inc()
+				if snap == nil {
+					s := shard.Snap(e.part.g)
+					snap = &s
+				}
+				e.metrics.Counter("gpnm_recovery_rebuilds_total").Inc()
+				//lint:allow faultseam the recovery controller IS the seam here: a failed spare build re-marks the slot suspect for the next round
+				if err := sp.Build(cfg, *snap); err != nil {
+					suspect[i] = true
+					ok = false
+				}
 				break
 			}
 		}
-		alive := e.aliveIndices()
-		if len(alive) == 0 {
+		e.span("recovery_rebuild", rebuildStart)
+		if len(e.aliveIndices()) == 0 {
 			return errors.New("no surviving or spare shard")
 		}
-
-		// 3. Reassign partitions stranded on dead slots to survivors.
-		moved := make(map[int][]int)
-		for p, s := range e.shardOf {
-			if e.shardAlive[s] {
-				continue
-			}
-			t := alive[p%len(alive)]
-			e.shardOf[p] = int32(t)
-			moved[t] = append(moved[t], p)
+		if ok {
+			return nil
 		}
-
-		// 4. Build promoted spares (full: replica + owned partitions)
-		// and rebuild absorbed partitions on survivors, all from the
-		// coordinator's current mirrors. The fence in cfg.Epoch marks
-		// those snapshots as already containing the in-flight flush.
-		rebuildStart := time.Now()
-		cfg := e.shardConfig()
-		src := &engineSource{e: e}
-		owned := e.groupByShard()
-		ok := true
-		for _, i := range alive {
-			var err error
-			switch {
-			case fresh[i]:
-				//lint:allow faultseam the recovery controller IS the seam here: a failed rebuild re-marks the slot suspect for the next round
-				err = e.shards[i].Build(cfg, i, owned[i], src)
-			case len(moved[i]) > 0:
-				//lint:allow faultseam the recovery controller IS the seam here: a failed rebuild re-marks the slot suspect for the next round
-				err = e.shards[i].Rebuild(cfg, i, moved[i], src)
-			default:
-				continue
-			}
-			e.metrics.Counter("gpnm_recovery_rebuilds_total").Inc()
-			if err != nil {
-				suspect[i] = true
-				ok = false
-			}
-		}
-		e.span("recovery_rebuild", rebuildStart)
-		if !ok {
-			continue
-		}
-
-		return nil
 	}
 }

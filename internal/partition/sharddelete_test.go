@@ -11,8 +11,8 @@ import (
 )
 
 // shardLayouts builds one engine per shard layout over clones of g:
-// the single in-process shard (monolith), a 3-way in-process split and
-// a 2-worker RPC fleet over httptest HTTP. Every layout must behave
+// the in-process engine (monolith) and a 2-worker RPC fleet over
+// httptest HTTP. Every layout must behave
 // identically; these tests drive the delete paths the differential
 // suite only hits incidentally.
 func shardLayouts(t testing.TB, g *graph.Graph, horizon int) map[string]struct {
@@ -34,9 +34,8 @@ func shardLayouts(t testing.TB, g *graph.Graph, horizon int) map[string]struct {
 		e *Engine
 	})
 	for name, opts := range map[string]func() []Option{
-		"mono":   func() []Option { return nil },
-		"local3": func() []Option { return []Option{WithLocalShards(3)} },
-		"rpc2":   rpc,
+		"mono": func() []Option { return nil },
+		"rpc2": rpc,
 	} {
 		g2 := g.Clone()
 		e := NewEngine(g2, horizon, opts()...)
@@ -80,10 +79,9 @@ func TestBridgeNodeDeletedMidBatch(t *testing.T) {
 }
 
 // TestDeleteNodeEmptiesShardPartition removes the only member of a
-// partition (PM1) through the per-update API, leaving its shard-hosted
-// engine empty, then repopulates the same partition with a fresh node —
-// the addToPart fast path that reuses the existing (empty) partition
-// and its shard assignment.
+// partition (PM1) through the per-update API, leaving the partition
+// empty, then repopulates it with a fresh node — the addToPart fast
+// path that reuses the existing (empty) partition.
 func TestDeleteNodeEmptiesShardPartition(t *testing.T) {
 	base, ids := fig4Graph()
 	for name, lay := range shardLayouts(t, base, 0) {
@@ -114,7 +112,7 @@ func TestDeleteNodeEmptiesShardPartition(t *testing.T) {
 
 // TestDirtyBridgesIntraDeletion: deleting an intra-partition edge that
 // lengthens a bridge node's intra distances must change cross-partition
-// distances accordingly, with the shards' intra engines kept in sync.
+// distances accordingly, with the shards' replicas kept in sync.
 func TestDirtyBridgesIntraDeletion(t *testing.T) {
 	base, ids := fig4Graph()
 	for name, lay := range shardLayouts(t, base, 0) {
@@ -123,7 +121,7 @@ func TestDirtyBridgesIntraDeletion(t *testing.T) {
 		if d := rowDist(e, ids["SE1"], ids["TE1"]); d != 2 {
 			t.Fatalf("%s: pre-state d(SE1,TE1) = %v, want 2", name, d)
 		}
-		// Deleting intra edge SE1→SE2 touches only PSE's shard engine,
+		// Deleting intra edge SE1→SE2 touches no bridge bookkeeping,
 		// yet it cuts the only route from SE1 out to TE1.
 		g.RemoveEdge(ids["SE1"], ids["SE2"])
 		e.DeleteEdge(ids["SE1"], ids["SE2"])
@@ -136,8 +134,8 @@ func TestDirtyBridgesIntraDeletion(t *testing.T) {
 
 // TestBatchEmptiesWholePartition drives ApplyDataBatch until one
 // partition has no live members left and the batch also rewired other
-// partitions — the "shard left empty" regression: the engine must cope
-// with a partition whose intra engine holds only tombstones.
+// partitions — the "partition left empty" regression: the engine must
+// cope with a partition that has no live members.
 func TestBatchEmptiesWholePartition(t *testing.T) {
 	base, ids := fig4Graph()
 	for name, lay := range shardLayouts(t, base, 0) {

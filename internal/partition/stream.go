@@ -23,10 +23,10 @@ import (
 //   - A fault does not trigger recovery on the flusher (recovery reads
 //     and edits coordinator state mid-mutation). The flusher stalls:
 //     the faulted chunk and everything after it accumulate unapplied,
-//     and finish() repairs the fleet once staging is complete — the
-//     rebuild fence (Config.Epoch = the last sealed epoch) then marks
-//     the mirrors as containing every chunk, and the stalled chunks
-//     re-flush under the ordinary failover boundary. Survivors
+//     and finish() repairs the fleet once staging is complete — a
+//     promoted spare's build fence (Config.Epoch = the last sealed
+//     epoch) then marks its snapshot as containing every chunk, and the
+//     stalled chunks re-flush under the ordinary failover boundary. Survivors
 //     acknowledge at-or-below-fence epochs without re-applying (see
 //     shard/server.go), so nothing double-applies.
 
@@ -130,10 +130,11 @@ func (s *opStreamer) finish() {
 	<-s.join
 	s.e.span("oplog_join", joinStart)
 
-	// Seal the tail BEFORE any recovery: a rebuild fences its snapshots
-	// at the highest allocated epoch, and the mirrors already contain
-	// the tail's ops — the tail epoch must sit at or below that fence or
-	// a rebuilt worker would re-apply ops its snapshots include.
+	// Seal the tail BEFORE any recovery: a spare build fences its
+	// snapshot at the highest allocated epoch, and the coordinator's
+	// graph already contains the tail's ops — the tail epoch must sit at
+	// or below that fence or a promoted spare would re-apply ops its
+	// snapshot includes.
 	var final []shard.Op
 	var finalEpoch uint64
 	if len(s.pend) > 0 {
@@ -141,11 +142,11 @@ func (s *opStreamer) finish() {
 		finalEpoch = s.e.nextOpEpoch()
 	}
 	if s.fault != nil {
-		// Repair with staging complete: the mirrors hold the full batch
-		// and the rebuild fence covers every sealed epoch, so stalled
-		// chunks re-flush idempotently against the repaired fleet —
-		// rebuilt workers and survivors alike acknowledge epochs their
-		// fence already covers.
+		// Repair with staging complete: the coordinator's graph holds the
+		// full batch and a spare's build fence covers every sealed epoch,
+		// so stalled chunks re-flush idempotently against the repaired
+		// fleet — promoted spares and survivors alike acknowledge epochs
+		// their fence already covers.
 		s.e.recoverFault(s.fault)
 		for _, c := range s.stalled {
 			c := c

@@ -52,9 +52,8 @@ func rpcFleet(t testing.TB, n int) []shard.Shard {
 }
 
 // shardedEngines builds, over clones of g, every engine variant the
-// suite compares: the single-shard engine (the monolith re-expressed),
-// a 3-way in-process split, and a 2-worker RPC fleet. Each comes with
-// its own graph clone so batches replay independently.
+// suite compares: the in-process engine and a 2-worker RPC fleet. Each
+// comes with its own graph clone so batches replay independently.
 type engineUnderTest struct {
 	name string
 	g    *graph.Graph
@@ -68,7 +67,6 @@ func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engine
 		opts func() []partition.Option
 	}{
 		{"mono", func() []partition.Option { return nil }},
-		{"local3", func() []partition.Option { return []partition.Option{partition.WithLocalShards(3)} }},
 		{"rpc2", func() []partition.Option { return []partition.Option{partition.WithShards(rpcFleet(t, 2)...)} }},
 	}
 	outs := make([]engineUnderTest, len(variants))
@@ -84,8 +82,8 @@ func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engine
 
 // TestShardedEngineDifferential is the sharding ground-truth suite: a
 // randomized update-batch sequence driven through (1) a Scratch
-// session, (2) the single-shard UA-GPNM engine, (3) a 3-way in-process
-// shard split and (4) a 2-worker RPC shard fleet over real HTTP must
+// session, (2) the in-process UA-GPNM engine and (3) a 2-worker RPC
+// shard fleet over real HTTP must
 // leave identical SQuery results after every batch, at serial and wide
 // worker bounds. Run under -race (the tier-1 gate does) to also prove
 // the read-epoch discipline across the shard seam.
@@ -129,7 +127,7 @@ func TestShardedEngineDifferential(t *testing.T) {
 
 // TestShardedOracleAgreement spot-checks the distance oracle itself —
 // point distances read off ball rows, ForwardBall, ReverseBall —
-// across the three shard layouts after a mutation sequence, pinning
+// across the shard layouts after a mutation sequence, pinning
 // that the seam preserves the substrate (not only the match results
 // derived from it).
 func TestShardedOracleAgreement(t *testing.T) {
@@ -206,9 +204,9 @@ func ballRow(e *partition.Engine, x uint32) string {
 	return out
 }
 
-// TestRPCShardCloneFor pins the documented CloneFor fallback: cloning a
-// remote-shard engine collapses onto a freshly built in-process shard
-// with identical distances (Session.Fork on a sharded session depends
+// TestRPCShardCloneFor pins the documented CloneFor contract: cloning a
+// remote-shard engine yields a plain in-process engine with identical
+// distances (Session.Fork on a sharded session depends
 // on this).
 func TestRPCShardCloneFor(t *testing.T) {
 	g, _ := randomInstance(99, 30, 80)

@@ -17,9 +17,10 @@ import (
 
 // TransportError is the error an RPC shard returns when the worker
 // cannot be reached or answers with an error after retries. The
-// coordinator treats it as a shard loss and runs failover (rebuild the
-// lost partitions on survivors or spares); only when no capacity
-// survives does it poison the substrate with ErrSubstrateLost.
+// coordinator treats it as a shard loss and runs failover (quarantine
+// the slot, promote a spare if one is left, retry on the survivors);
+// only when no worker survives does it poison the substrate with
+// ErrSubstrateLost.
 // errors.Is(err, ErrSubstrateLost) and errors.As(err, &te) both work
 // on what callers observe from a terminal loss.
 type TransportError struct {
@@ -98,32 +99,26 @@ func DialWith(addr string, reg *obs.Registry) *RPC {
 }
 
 // reqTimeout picks the deadline for one request. Ball requests and op
-// streams are bounded snugly; /build runs a full remote intra-engine rebuild —
-// exactly the superlinear work sharding exists to spread — so it gets
-// room to finish on sharding-scale graphs instead of being declared
-// dead (and pointlessly restarted) by a blanket client timeout.
+// streams are bounded snugly; /build ships and materialises the whole
+// data graph, so it gets room to finish on large graphs instead of
+// being declared dead (and pointlessly restarted) by a blanket client
+// timeout.
 func reqTimeout(path string) time.Duration {
-	switch path {
-	case "/build", "/horizon":
-		return 4 * time.Hour
-	default:
-		return 5 * time.Minute
+	if path == "/build" {
+		return time.Hour
 	}
+	return 5 * time.Minute
 }
 
 // Addr returns the worker's base URL.
 func (r *RPC) Addr() string { return r.base }
 
-// Remote reports true: this shard needs the full op stream (replica
-// maintenance) and serves Affected off its replica.
-func (r *RPC) Remote() bool { return true }
-
 // post sends one JSON request, retrying transient transport failures,
 // and decodes the response into out. Worker-side errors (non-2xx) are
 // not retried — they signal state divergence, not a flaky network.
 // Retrying an /ops whose response was lost is safe: the stream is
-// epoch-fenced, so a worker that already applied the epoch answers its
-// recorded response instead of re-applying.
+// epoch-fenced, so a worker that already applied the epoch acknowledges
+// it without re-applying.
 func (r *RPC) post(op, path string, in, out interface{}) (err error) {
 	// Per-endpoint telemetry: one latency observation per call (retries
 	// included — the coordinator waits for the whole thing), bytes as
@@ -211,32 +206,10 @@ func (r *RPC) Ping() (err error) {
 	return nil
 }
 
-// Build ships the coordinator's snapshots — the owned partitions'
-// subgraphs plus the full data-graph adjacency — and blocks until the
-// worker has built its intra engines.
-func (r *RPC) Build(cfg Config, index int, owned []int, src Source) error {
-	req := buildRequest{Config: cfg, Index: index, Graph: src.GraphSnapshot()}
-	for _, p := range owned {
-		req.Parts = append(req.Parts, src.PartSnapshot(p))
-	}
-	return r.post("build", "/build", req, nil)
-}
-
-// Rebuild ships additional partitions' snapshots for the worker to
-// build on top of its existing state — the failover path for survivors
-// absorbing a dead shard's partitions. The worker keeps its replica,
-// its other engines and its op-stream fence.
-func (r *RPC) Rebuild(cfg Config, index int, added []int, src Source) error {
-	req := rebuildRequest{Config: cfg, Index: index}
-	for _, p := range added {
-		req.Parts = append(req.Parts, src.PartSnapshot(p))
-	}
-	return r.post("rebuild", "/rebuild", req, nil)
-}
-
-// EnsureHorizon widens the worker's engines to cover bound k.
-func (r *RPC) EnsureHorizon(k int) error {
-	return r.post("horizon", "/horizon", map[string]int{"k": k}, nil)
+// Build ships the coordinator's graph snapshot and blocks until the
+// worker has materialised its replica.
+func (r *RPC) Build(cfg Config, snap Snapshot) error {
+	return r.post("build", "/build", buildRequest{Config: cfg, Graph: snap}, nil)
 }
 
 // ApplyOps streams one ordered, epoch-fenced op batch to the worker. A
@@ -247,11 +220,11 @@ func (r *RPC) ApplyOps(epoch uint64, ops []Op) error {
 	return r.post("ops", "/ops", map[string]interface{}{"epoch": epoch, "ops": ops}, nil)
 }
 
-// Affected computes conservative balls against the worker's data-graph
-// replica.
-func (r *RPC) Affected(reqs []AffectedReq) ([]nodeset.Set, error) {
+// Affected computes conservative balls at the given horizon against the
+// worker's data-graph replica.
+func (r *RPC) Affected(horizon int, reqs []Op) ([]nodeset.Set, error) {
 	var resp affectedResponse
-	if err := r.post("affected", "/affected", map[string]interface{}{"reqs": reqs}, &resp); err != nil {
+	if err := r.post("affected", "/affected", affectedRequest{Horizon: horizon, Reqs: reqs}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Sets) != len(reqs) {

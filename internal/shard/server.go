@@ -18,14 +18,11 @@ import (
 // cmd/gpnm-shard process holds for one coordinator, behind an HTTP/JSON
 // handler the RPC client speaks to.
 //
-// The worker replicates two things from the coordinator's op stream:
-// the induced subgraphs of the partitions it owns — whose intra SLen
-// engines (the superlinear state sharding exists to spread) it serves
-// through an embedded Local shard, so the engine-maintenance logic is
-// written exactly once — and the full data-graph *adjacency* (linear,
-// label-less), which lets the coordinator fan the batch's conservative
-// affected-ball computation (ApplyDataBatch phases 1 and 3) across the
-// shard fleet instead of running every ball itself.
+// The worker holds a replica of the full data-graph adjacency (linear,
+// label-less), kept in sync from the coordinator's op stream, which
+// lets the coordinator fan the batch's conservative affected-ball
+// computation (ApplyDataBatch phases 1 and 3) across the shard fleet
+// instead of running every ball itself.
 //
 // One worker serves one coordinator at a time: /build resets all state
 // unconditionally, so a fresh coordinator simply claims the worker.
@@ -33,14 +30,11 @@ type Server struct {
 	mu sync.RWMutex // build/ops exclusive; affected shared
 
 	cfg     Config
-	index   int                  // this worker's position in the coordinator's shard table
-	replica *graph.Graph         // full data-graph adjacency replica
-	subs    map[int]*graph.Graph // owned partitions' subgraph replicas
-	local   *Local               // the intra engines over subs
+	replica *graph.Graph // full data-graph adjacency replica
 
 	// Op-stream fence: the highest epoch this worker's state reflects.
-	// A /build adopts the coordinator's fence (the snapshots already
-	// contain those ops); a re-sent /ops at or below the fenced epoch is
+	// A /build adopts the coordinator's fence (the snapshot already
+	// contains those ops); a re-sent /ops at or below the fenced epoch is
 	// acknowledged without re-applying. That idempotence is what makes
 	// the coordinator's failover retry of an in-flight batch (and the
 	// chunked op stream's post-repair re-flush) safe.
@@ -58,8 +52,7 @@ type Server struct {
 
 // NewServer returns an empty worker; /build initialises it.
 func NewServer() *Server {
-	s := &Server{subs: make(map[int]*graph.Graph), obs: obs.Default}
-	s.local = NewLocal(s.subOf)
+	s := &Server{obs: obs.Default}
 	s.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	return s
 }
@@ -79,15 +72,10 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// subOf is the subgraph accessor the embedded Local shard reads through.
-func (s *Server) subOf(part int) *graph.Graph { return s.subs[part] }
-
 // Handler returns the worker's endpoint table:
 //
-//	GET  /healthz   liveness + owned-partition count + op-stream epoch
-//	POST /build     reset + build from coordinator snapshots
-//	POST /rebuild   build additional partitions on top of existing state
-//	POST /horizon   widen every intra engine to a new hop cap
+//	GET  /healthz   liveness + whether a replica is built + op-stream epoch
+//	POST /build     reset + materialise the replica from a graph snapshot
 //	POST /ops       apply one ordered, epoch-fenced op batch
 //	POST /affected  conservative balls against the data-graph replica
 //	GET  /metrics   worker-side telemetry, Prometheus text exposition
@@ -98,8 +86,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("POST /build", s.instrument("/build", s.handleBuild))
-	mux.HandleFunc("POST /rebuild", s.instrument("/rebuild", s.handleRebuild))
-	mux.HandleFunc("POST /horizon", s.instrument("/horizon", s.handleHorizon))
 	mux.HandleFunc("POST /ops", s.instrument("/ops", s.handleOps))
 	mux.HandleFunc("POST /affected", s.instrument("/affected", s.handleAffected))
 	mux.Handle("GET /metrics", s.obs)
@@ -109,21 +95,17 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	built := s.replica != nil
-	parts := len(s.subs)
-	idx := s.index
 	epoch := s.lastEpoch
 	s.mu.RUnlock()
 	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"ok": true, "built": built, "parts": parts, "index": idx, "epoch": epoch,
+		"ok": true, "built": built, "epoch": epoch,
 	})
 }
 
 // buildRequest carries the coordinator state a worker replicates.
 type buildRequest struct {
-	Config Config     `json:"config"`
-	Index  int        `json:"index"`
-	Graph  Snapshot   `json:"graph"`
-	Parts  []Snapshot `json:"parts"`
+	Config Config   `json:"config"`
+	Graph  Snapshot `json:"graph"`
 }
 
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
@@ -134,65 +116,10 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cfg = req.Config
-	s.index = req.Index
 	s.replica = req.Graph.Materialise()
-	s.subs = make(map[int]*graph.Graph, len(req.Parts))
-	owned := make([]int, 0, len(req.Parts))
-	for _, snap := range req.Parts {
-		s.subs[snap.Part] = snap.Materialise()
-		owned = append(owned, snap.Part)
-	}
-	s.local = NewLocal(s.subOf)
-	_ = s.local.Build(req.Config, req.Index, owned, nil) // in-process: never errors
-	// The snapshots reflect every flush up to the coordinator's fence:
-	// a replayed /ops at that epoch must answer empty sets, not apply.
+	// The snapshot reflects every flush up to the coordinator's fence:
+	// a replayed /ops at that epoch must be acknowledged, not applied.
 	s.lastEpoch = req.Config.Epoch
-	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.subs)})
-}
-
-// rebuildRequest carries additional partitions for a built worker to
-// absorb (the failover path); replica, fence and prior engines survive.
-type rebuildRequest struct {
-	Config Config     `json:"config"`
-	Index  int        `json:"index"`
-	Parts  []Snapshot `json:"parts"`
-}
-
-func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	var req rebuildRequest
-	if !srvutil.Decode(w, r, &req) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.replica == nil {
-		srvutil.WriteError(w, http.StatusConflict, "worker not built")
-		return
-	}
-	s.cfg = req.Config
-	s.index = req.Index
-	added := make([]int, 0, len(req.Parts))
-	for _, snap := range req.Parts {
-		s.subs[snap.Part] = snap.Materialise()
-		added = append(added, snap.Part)
-	}
-	_ = s.local.Build(req.Config, req.Index, added, nil) // in-process: never errors
-	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.subs)})
-}
-
-func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		K int `json:"k"`
-	}
-	if !srvutil.Decode(w, r, &req) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.Horizon != 0 && req.K > s.cfg.Horizon {
-		s.cfg.Horizon = req.K
-		_ = s.local.EnsureHorizon(req.K) // in-process: never errors
-	}
 	srvutil.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
@@ -213,7 +140,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	// Epoch fence (0 = unfenced legacy stream). A flush at or below the
 	// fenced epoch was already absorbed — through an earlier delivery
 	// whose response was lost, or through a fenced build whose
-	// snapshots contained it — so acknowledge it without re-applying.
+	// snapshot contained it — so acknowledge it without re-applying.
 	if req.Epoch != 0 && req.Epoch <= s.lastEpoch {
 		srvutil.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 		return
@@ -231,71 +158,38 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	srvutil.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// applyOp advances the data-graph replica by the op's global-id view
-// and, when this worker owns the touched partition, mirrors the op
-// into the partition subgraph and hands it to the embedded Local shard
-// — the same graph-first-engine-second order the coordinator uses, and
-// the same engine-maintenance code path (Local.ApplyOp).
+// applyOp advances the data-graph replica by one op, in the order the
+// coordinator applied it to its own graph.
 func (s *Server) applyOp(op Op) error {
-	mine := op.Shard == s.index && op.Part >= 0
 	switch op.Kind {
 	case OpEdgeInsert:
 		if !s.replica.AddEdge(op.From, op.To) {
 			return fmt.Errorf("replica rejected edge insert %d->%d", op.From, op.To)
 		}
-		if !mine {
-			return nil
-		}
-		if !s.local.Owns(op.Part) {
-			return fmt.Errorf("partition %d not owned/built", op.Part)
-		}
-		s.subs[op.Part].AddEdge(op.LFrom, op.LTo)
 	case OpEdgeDelete:
 		if !s.replica.RemoveEdge(op.From, op.To) {
 			return fmt.Errorf("replica rejected edge delete %d->%d", op.From, op.To)
 		}
-		if !mine {
-			return nil
-		}
-		if !s.local.Owns(op.Part) {
-			return fmt.Errorf("partition %d not owned/built", op.Part)
-		}
-		s.subs[op.Part].RemoveEdge(op.LFrom, op.LTo)
 	case OpNodeInsert:
 		if id := s.replica.AddNodeLabelIDs(); id != op.Node {
 			return fmt.Errorf("replica assigned node id %d, coordinator expected %d", id, op.Node)
-		}
-		if !mine {
-			return nil
-		}
-		sub, ok := s.subs[op.Part]
-		if !ok {
-			// A node insert founded a new partition assigned to us;
-			// Local.ApplyOp builds its engine from this fresh subgraph.
-			sub = graph.New(nil)
-			s.subs[op.Part] = sub
-		}
-		if local := sub.AddNodeLabelIDs(); local != op.Local {
-			return fmt.Errorf("partition %d assigned local id %d, coordinator expected %d", op.Part, local, op.Local)
 		}
 	case OpNodeDelete:
 		if _, ok := s.replica.RemoveNode(op.Node); !ok {
 			return fmt.Errorf("replica rejected node delete %d", op.Node)
 		}
-		if !mine {
-			return nil
-		}
-		if !s.local.Owns(op.Part) {
-			return fmt.Errorf("partition %d not owned/built", op.Part)
-		}
-		// Local.ApplyOp replays op.RemovedLocal against the engine; the
-		// mirror removal here yields the same edge set by construction.
-		s.subs[op.Part].RemoveNode(op.Local)
 	default:
 		return fmt.Errorf("unknown op kind %d", op.Kind)
 	}
-	s.local.ApplyOp(op)
 	return nil
+}
+
+// affectedRequest asks for one conservative ball per op at the given
+// hop horizon (0 = exact). The coordinator sends its current horizon
+// with every request, so widening it needs no call of its own.
+type affectedRequest struct {
+	Horizon int  `json:"horizon"`
+	Reqs    []Op `json:"reqs"`
 }
 
 // affectedResponse carries one conservative ball per request.
@@ -304,9 +198,7 @@ type affectedResponse struct {
 }
 
 func (s *Server) handleAffected(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Reqs []AffectedReq `json:"reqs"`
-	}
+	var req affectedRequest
 	if !srvutil.Decode(w, r, &req) {
 		return
 	}
@@ -320,19 +212,19 @@ func (s *Server) handleAffected(w http.ResponseWriter, r *http.Request) {
 	//lint:allow lockguard read-locked CPU-only fan: no RPC or channel wait under the RLock; it orders /affected against /build swapping the replica
 	workpool.ForEach(s.cfg.Workers, len(req.Reqs), func(i int) {
 		gb := s.gballPool.Get().(*shortest.GraphBall)
-		resp.Sets[i] = s.affected(gb, req.Reqs[i])
+		resp.Sets[i] = s.affected(gb, req.Horizon, req.Reqs[i])
 		s.gballPool.Put(gb)
 	})
 	srvutil.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) affected(gb *shortest.GraphBall, req AffectedReq) nodeset.Set {
+func (s *Server) affected(gb *shortest.GraphBall, horizon int, req Op) nodeset.Set {
 	switch req.Kind {
 	case OpEdgeInsert, OpEdgeDelete:
-		return EdgeAffected(gb, s.replica, req.From, req.To, s.cfg.Horizon)
+		return EdgeAffected(gb, s.replica, req.From, req.To, horizon)
 	case OpNodeDelete:
 		return NodeAffected(gb, s.replica, req.Node,
-			s.replica.Out(req.Node), s.replica.In(req.Node), s.cfg.Horizon)
+			s.replica.Out(req.Node), s.replica.In(req.Node), horizon)
 	}
 	return nil
 }

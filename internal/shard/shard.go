@@ -1,27 +1,19 @@
-// Package shard defines the seam the §V partition engine is served
-// through: a Shard owns the intra-partition SLen state (the
-// per-partition distance engines) for a subset of the partitions,
-// while the coordinator (internal/partition.Engine) keeps the partition
-// bookkeeping, the data graph itself and the ball rows the matcher
-// reads, which it computes by BFS over that graph.
+// Package shard defines the seam between the §V coordinator
+// (internal/partition.Engine) and its shard workers. The coordinator
+// keeps the data graph, the partition bookkeeping and the ball rows the
+// matcher reads, which it computes by BFS over that graph. A worker
+// keeps one thing: a label-less replica of the data-graph adjacency,
+// fed by the coordinator's epoch-fenced op stream, off which it answers
+// the batch's conservative affected balls (Affected). That is the one
+// job a worker offloads; no row, distance or per-partition state
+// crosses the seam.
 //
-// Two implementations exist:
+// RPC fronts a worker process (cmd/gpnm-shard) over HTTP/JSON; Server
+// is the worker side. An in-process engine has no shards at all.
 //
-//   - Local runs in the coordinator's process and reads the
-//     coordinator's own partition subgraphs directly.
-//   - RPC fronts a shard worker process (cmd/gpnm-shard) over
-//     HTTP/JSON; Server is the worker side. The worker holds replicas
-//     of its partitions' subgraphs (and of the data-graph adjacency,
-//     so conservative affected-set balls can be computed remotely) and
-//     keeps them in sync from the coordinator's op stream.
-//
-// Contract: the coordinator mutates its own structures first (data
-// graph, partition subgraph mirrors, bridge bookkeeping) and then
-// hands each mutation to the shards as an Op; a shard applies the op
-// to any replica it keeps and synchronises the intra engine of the
-// partition it owns. No read of a ball row or a distance crosses this
-// seam; the only remote read is Affected, the batch's conservative
-// balls.
+// Contract: the coordinator mutates its own structures first and then
+// streams each mutation to every worker as an Op; a worker applies the
+// op to its replica.
 package shard
 
 import (
@@ -32,50 +24,42 @@ import (
 	"uagpnm/internal/shortest"
 )
 
-// ErrSubstrateLost marks the distance substrate as unrecoverable: a
-// shard holding part of the intra SLen state failed (transport death,
-// state divergence) and the coordinator could not repair the loss —
-// no surviving or spare worker was left to absorb the dead shard's
-// partitions, or the recovery budget was exhausted. The partition
-// engine wraps the terminal failure in this sentinel and poisons
-// itself; coordinators (hub, Service front ends) surface it with
-// errors.Is and drain. Before that terminal point, losses are handled
-// by failover: the coordinator's subgraph mirrors already hold
-// everything a replacement needs, so lost partitions are rebuilt on
-// survivors (Rebuild) or freshly claimed spares (Build) and the
-// in-flight op stream is replayed under the Config.Epoch fence.
+// ErrSubstrateLost marks the sharded substrate as unrecoverable: a
+// worker failed (transport death, replica divergence) and the
+// coordinator could not repair the loss — no surviving or spare worker
+// was left, or the recovery budget was exhausted. The partition engine
+// wraps the terminal failure in this sentinel and poisons itself;
+// coordinators (hub, Service front ends) surface it with errors.Is and
+// drain. Before that terminal point, losses are handled by failover:
+// every survivor already holds the full replica, so the dead slot is
+// quarantined, a spare (if any) is built from the coordinator's graph,
+// and the in-flight op stream is replayed under the Config.Epoch fence.
 var ErrSubstrateLost = errors.New("substrate lost")
 
-// Config carries the engine parameters every shard needs to build and
-// maintain its intra engines.
+// Config carries what a worker needs to build its replica.
 type Config struct {
-	Horizon        int `json:"horizon"` // SLen hop cap (0 = exact)
-	DenseThreshold int `json:"dense_threshold"`
-	ELLWidth       int `json:"ell_width"`
-	Workers        int `json:"workers"` // per-shard worker pool bound
+	Workers int `json:"workers"` // per-worker pool bound for /affected
 
-	// Epoch is the op-stream fence shipped with a (re)build: the state
-	// the coordinator snapshots already reflects every op flush up to
-	// and including this epoch, so a replayed ApplyOps with the same
-	// epoch must return empty affected sets instead of re-applying —
-	// that is how a spare promoted mid-batch, built from post-batch
-	// mirrors, survives the batch's retry without double-application.
+	// Epoch is the op-stream fence shipped with a build: the snapshot
+	// already reflects every op flush up to and including this epoch,
+	// so a replayed ApplyOps at or below it is acknowledged without
+	// re-applying — that is how a spare promoted mid-batch, built from
+	// the post-staging graph, survives the batch's retry without
+	// double-application.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// Edge is a directed edge in a (local- or global-id) node space.
+// Edge is a directed edge between global node ids.
 type Edge struct {
 	From uint32 `json:"f"`
 	To   uint32 `json:"t"`
 }
 
-// Snapshot serialises one graph — a partition's induced subgraph or
-// the whole data-graph adjacency — for remote shard builds. Node ids
-// are implicit: every id < NumIDs exists, ids listed in Dead are
-// tombstoned. Labels are not carried; intra SLen and conservative
-// balls are label-blind.
+// Snapshot serialises the data-graph adjacency for a worker build.
+// Node ids are implicit: every id < NumIDs exists, ids listed in Dead
+// are tombstoned. Labels are not carried; conservative balls are
+// label-blind.
 type Snapshot struct {
-	Part   int      `json:"part"` // partition index (-1 for the data graph)
 	NumIDs int      `json:"num_ids"`
 	Dead   []uint32 `json:"dead,omitempty"`
 	Edges  []Edge   `json:"edges,omitempty"`
@@ -96,9 +80,9 @@ func (s Snapshot) Materialise() *graph.Graph {
 	return g
 }
 
-// Snap captures g as a Snapshot tagged with the given part index.
-func Snap(part int, g *graph.Graph) Snapshot {
-	s := Snapshot{Part: part, NumIDs: g.NumIDs()}
+// Snap captures g as a Snapshot.
+func Snap(g *graph.Graph) Snapshot {
+	s := Snapshot{NumIDs: g.NumIDs()}
 	for id := 0; id < s.NumIDs; id++ {
 		if !g.Alive(uint32(id)) {
 			s.Dead = append(s.Dead, uint32(id))
@@ -108,19 +92,6 @@ func Snap(part int, g *graph.Graph) Snapshot {
 		s.Edges = append(s.Edges, Edge{From: e.From, To: e.To})
 	})
 	return s
-}
-
-// Source lets a shard pull the state it must replicate at build time.
-// The in-process shard reads the coordinator's structures directly and
-// never asks; remote shards serialise what Source hands out.
-type Source interface {
-	// NumParts reports the current partition count.
-	NumParts() int
-	// PartSnapshot captures partition i's induced subgraph.
-	PartSnapshot(i int) Snapshot
-	// GraphSnapshot captures the full data-graph adjacency (for the
-	// remote conservative-ball computation).
-	GraphSnapshot() Snapshot
 }
 
 // OpKind enumerates the mutations a coordinator streams to its shards.
@@ -134,97 +105,52 @@ const (
 	OpNodeDelete
 )
 
-// Op is one structural mutation, already applied to the coordinator's
-// own structures. Global ids (From/To/Node) drive data-graph replica
-// maintenance on remote shards; Part/Shard plus the local-id fields
-// drive the owning shard's intra-engine synchronisation. Part < 0
-// marks a replica-only op (a cross-partition edge, which no intra
-// engine sees).
-type Op struct {
-	Kind OpKind `json:"k"`
-
-	// Global-id view (data-graph replica maintenance).
-	From uint32 `json:"u,omitempty"`
-	To   uint32 `json:"v,omitempty"`
-	Node uint32 `json:"n,omitempty"`
-
-	// Partition-local view (intra-engine maintenance).
-	Part         int    `json:"p"` // owning partition (-1: replica-only)
-	Shard        int    `json:"s"` // owning shard index (-1: replica-only)
-	LFrom        uint32 `json:"lu,omitempty"`
-	LTo          uint32 `json:"lv,omitempty"`
-	Local        uint32 `json:"ln,omitempty"`
-	RemovedLocal []Edge `json:"rm,omitempty"` // local incident edges of a node delete
-}
-
-// AffectedReq asks for one update's conservative affected-ball
-// superset, evaluated against the shard's data-graph replica in its
+// Op is one structural mutation by global node id. In the op stream it
+// is a mutation already applied to the coordinator's graph, which the
+// worker replays on its replica; in an Affected request it names one
+// update (OpEdgeInsert, OpEdgeDelete or OpNodeDelete) whose
+// conservative ball the worker evaluates against its replica in its
 // current state (phase 1 sends deletions pre-batch, phase 3 sends
 // insertions post-batch).
-type AffectedReq struct {
-	Kind OpKind `json:"k"` // OpEdgeInsert/OpEdgeDelete/OpNodeDelete
+type Op struct {
+	Kind OpKind `json:"k"`
 	From uint32 `json:"u,omitempty"`
 	To   uint32 `json:"v,omitempty"`
 	Node uint32 `json:"n,omitempty"`
 }
 
-// Shard is the per-partition half of the §V substrate.
+// Shard is one worker of the sharded substrate.
 //
 // Error model: every method that can lose state or transport returns an
-// error. A non-nil error means the shard's intra state is no longer
+// error. A non-nil error means the worker's replica is no longer
 // trustworthy — the RPC implementation returns a *TransportError after
 // its retries are exhausted — and the coordinator (internal/partition)
-// quarantines the shard and runs failover: its partitions are rebuilt
-// from the coordinator's subgraph mirrors on survivors (Rebuild) or
-// spares (Build), with ErrSubstrateLost the terminal poison only when
-// no capacity survives. In-process shards never return errors; their
-// contract violations (unowned partitions, bad ops) remain panics,
-// because they are programming bugs, not operational failures.
+// quarantines the slot and runs failover, with ErrSubstrateLost the
+// terminal poison only when no worker survives.
 type Shard interface {
-	// Remote reports whether ops must be streamed to this shard even
-	// when it owns none of the touched partitions (replica
-	// maintenance) and whether Affected is served off a remote
-	// replica. In-process shards return false.
-	Remote() bool
-
 	// Ping is the liveness probe the failover controller uses to tell
 	// a dead worker from a transient fault: it must answer quickly
 	// (bounded, no retries) and return nil only when the shard can
-	// serve. In-process shards always answer nil.
+	// serve.
 	Ping() error
 
-	// Build (re)builds the intra engines of the owned partitions from
-	// the coordinator state exposed by src, discarding all prior state
-	// (a remote worker also resets its data-graph replica and adopts
-	// cfg.Epoch as its op-stream fence). index is this shard's
-	// position in the coordinator's shard table (echoed back in
-	// Op.Shard).
-	Build(cfg Config, index int, owned []int, src Source) error
-
-	// Rebuild builds intra engines for additional partitions —
-	// typically reassigned from a dead shard — on top of the shard's
-	// existing state: replicas, previously owned partitions and the
-	// op-stream fence all survive. The snapshots come from the
-	// coordinator's mirrors at their current state.
-	Rebuild(cfg Config, index int, added []int, src Source) error
-
-	// EnsureHorizon widens every owned intra engine to cover bound k.
-	EnsureHorizon(k int) error
+	// Build replaces the worker's replica with snap, discarding all
+	// prior state, and adopts cfg.Epoch as its op-stream fence.
+	Build(cfg Config, snap Snapshot) error
 
 	// ApplyOps applies one ordered batch of mutations (already applied
-	// to the coordinator's structures). epoch fences the stream: the
+	// to the coordinator's graph). epoch fences the stream: the
 	// coordinator issues a strictly increasing epoch per flush, and a
-	// shard whose state already reflects it (it applied it, or a fenced
-	// build contained it) acknowledges without re-applying — which is
-	// what makes the failover retry of an in-flight batch safe against
-	// survivors that had applied before the loss.
+	// worker whose replica already reflects it (it applied it, or a
+	// fenced build contained it) acknowledges without re-applying —
+	// which is what makes the failover retry of an in-flight batch
+	// safe against survivors that had applied before the loss.
 	ApplyOps(epoch uint64, ops []Op) error
 
 	// Affected computes the conservative affected-ball supersets of
-	// the given updates against the shard's data-graph replica. Only
-	// remote shards implement it meaningfully; in-process shards never
-	// receive it (the coordinator computes balls off its own graph).
-	Affected(reqs []AffectedReq) ([]nodeset.Set, error)
+	// the given updates against the worker's replica, at the given hop
+	// horizon (0 = exact).
+	Affected(horizon int, reqs []Op) ([]nodeset.Set, error)
 
 	// Close releases the shard (remote: closes idle connections; the
 	// worker process itself stays up for the next coordinator).

@@ -64,6 +64,15 @@ func Decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
+// The server-side timeouts both binaries share. Neither bounds a whole
+// request: long-polls park for up to their poll window and a shard
+// /build streams the whole graph, so only the header read and idle
+// keep-alive connections are bounded.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ListenAndServe serves h on addr until the process receives SIGINT or
 // SIGTERM, then shuts down gracefully: the listener closes immediately
 // (health checks start failing, so load balancers drain), and in-flight
@@ -101,9 +110,11 @@ func ListenAndServeUntil(addr string, h http.Handler, name string, grace time.Du
 	baseCtx, cancelBase := context.WithCancel(context.Background())
 	defer cancelBase()
 	srv := &http.Server{
-		Addr:        addr,
-		Handler:     h,
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -2,15 +2,16 @@
 # End-to-end smoke test for the sharded deployment: spawn two
 # gpnm-shard worker processes plus one gpnm-serve coordinator wired to
 # them (-shards), register a pattern, apply an update batch, and assert
-# the delta comes back over HTTP — i.e. the full §V substrate ran with
-# its intra-partition state split across two worker processes. A
+# the delta comes back over HTTP — i.e. the batch's op stream and
+# affected balls ran on two worker processes holding graph replicas. A
 # metrics stage then scrapes worker /metrics and coordinator
 # /v1/metrics to pin that the workers served the op stream and the
 # affected balls, never a row read, with zero RPC failures. Then the
 # failover stage: kill -9 one worker mid-run and assert the coordinator
-# stays healthy, the next batch's results are still correct (the lost
-# partitions were rebuilt on the survivor), /healthz reports the
-# recovery, and shutdown still exits zero. Needs only curl + grep; CI
+# stays healthy, the next batch's results are still correct (the
+# survivor, which already holds the whole graph, carries on without a
+# rebuild), /healthz reports the recovery, and shutdown still exits
+# zero. Needs only curl + grep; CI
 # runs it after the unit suite (`make shard-smoke` or the failover
 # stage's alias `make failover-smoke` locally).
 set -euo pipefail
@@ -23,7 +24,6 @@ DIR="$(mktemp -d)"
 trap 'kill "${SERVER_PID:-}" "${SHARD1_PID:-}" "${SHARD2_PID:-}" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 # Same tiny known graph as serve_smoke.sh: 0:PM -> 1:SE, 0:PM -> 2:PM.
-# Three labels → three partitions, split across the two shard workers.
 cat > "$DIR/g.txt" <<'EOF'
 0	1
 0	2
@@ -61,14 +61,13 @@ wait_healthy "http://127.0.0.1:${SHARD2_PORT}" "$SHARD2_PID" "shard worker 2"
 SERVER_PID=$!
 wait_healthy "$BASE" "$SERVER_PID" "coordinator"
 
-# Both workers must actually have been claimed with partitions.
+# Both workers must actually have been claimed and built.
 S1=$(curl -sf "http://127.0.0.1:${SHARD1_PORT}/healthz")
 S2=$(curl -sf "http://127.0.0.1:${SHARD2_PORT}/healthz")
 echo "worker1: $S1"
 echo "worker2: $S2"
 echo "$S1" | grep -q '"built":true' || { echo "shard-smoke: worker 1 was never built" >&2; exit 1; }
 echo "$S2" | grep -q '"built":true' || { echo "shard-smoke: worker 2 was never built" >&2; exit 1; }
-echo "$S1$S2" | grep -q '"parts":[12]' || { echo "shard-smoke: no worker owns a partition" >&2; exit 1; }
 
 # Register a PM-within-2-of-SE pattern; initially only node 0 matches.
 REG=$(curl -sf -X POST "$BASE/patterns" \
@@ -78,9 +77,9 @@ ID=$(echo "$REG" | grep -o '"id":[0-9]*' | head -1 | cut -d: -f2)
 [ -n "$ID" ] || { echo "shard-smoke: no pattern id in $REG" >&2; exit 1; }
 echo "$REG" | grep -q '"matches":\[0\]' || { echo "shard-smoke: unexpected initial result" >&2; exit 1; }
 
-# Apply: connect the second PM (node 2) to the SE — an intra-PM-partition
-# no-op plus a cross-partition edge the workers must replicate; its id
-# must show up as an addition for pattern node 0.
+# Apply: connect the second PM (node 2) to the SE — a cross-partition
+# edge the workers must replicate; its id must show up as an addition
+# for pattern node 0.
 DELTA=$(curl -sf -X POST "$BASE/apply" -d '{"data":"+e 2 1\n"}')
 echo "apply: $DELTA"
 echo "$DELTA" | grep -q '"added":\[2\]' || { echo "shard-smoke: delta missed the new match" >&2; exit 1; }
@@ -114,9 +113,9 @@ FAILS=$(echo "$CM" | { grep '^gpnm_rpc_failures_total' || true; } | awk '{s+=$2}
 
 # ---- Failover stage: kill one worker mid-run. ---------------------
 # kill -9 worker 2 — no drain, no goodbye, exactly a crashed pod. The
-# coordinator must detect the loss on the next batch, rebuild the dead
-# worker's partitions from its own subgraph mirrors on worker 1, retry
-# the batch, and answer correctly as if nothing happened.
+# coordinator must detect the loss on the next batch, quarantine the
+# dead worker, retry the batch on worker 1, and answer correctly as if
+# nothing happened.
 kill -9 "$SHARD2_PID" 2>/dev/null || true
 wait "$SHARD2_PID" 2>/dev/null || true
 SHARD2_PID=""
@@ -137,12 +136,23 @@ echo "healthz (post-kill): $HEALTH"
 echo "$HEALTH" | grep -q '"ok":true' || { echo "shard-smoke: healthz not ok after the kill" >&2; exit 1; }
 echo "$HEALTH" | grep -q '"recovered":1' || { echo "shard-smoke: healthz did not report the recovery" >&2; exit 1; }
 
+# The survivor was not rebuilt: it served its one initial /build and
+# no /rebuild.
+M1=$(curl -sf "http://127.0.0.1:${SHARD1_PORT}/metrics")
+grep -q 'gpnm_worker_requests_total{endpoint="/build"} 1$' <<<"$M1" \
+  || { echo "shard-smoke: survivor served other than one /build" >&2; grep 'endpoint="/build"' <<<"$M1" >&2; exit 1; }
+if grep 'gpnm_worker_requests_total{endpoint="/rebuild"}' <<<"$M1"; then
+  echo "shard-smoke: the survivor was rebuilt after the kill" >&2
+  exit 1
+fi
+echo "shard-smoke: survivor absorbed the loss with no rebuild"
+
 # Full result is now empty for the PM node (served post-recovery).
 RES=$(curl -sf "$BASE/patterns/$ID")
 echo "$RES" | grep -q '"matches":\[\]' || { echo "shard-smoke: final result wrong: $RES" >&2; exit 1; }
 
-# One more batch end to end on the survivor alone: re-adding an SE in
-# the dead worker's old partition restores both PM matches.
+# One more batch end to end on the survivor alone: re-adding an SE
+# restores both PM matches.
 DELTA3=$(curl -sf -X POST "$BASE/apply" -d '{"data":"+n 3 SE\n+e 0 3\n+e 2 3\n"}')
 echo "apply3 (survivor only): $DELTA3"
 echo "$DELTA3" | grep -q '"added":\[0,2\]' || { echo "shard-smoke: survivor-only batch wrong: $DELTA3" >&2; exit 1; }

@@ -62,9 +62,9 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl) {
 }
 
 // isShardIfaceErrCall reports whether call is a method call through the
-// shard.Shard interface whose last result is an error. Concrete shard
-// types (*shard.Local fast paths) are exempt: their errors are
-// in-process and don't represent a lost worker.
+// shard.Shard interface whose last result is an error. Calls on
+// concrete shard types are exempt: the engine's fleet table holds the
+// interface, so that is where a lost worker surfaces.
 func isShardIfaceErrCall(info *types.Info, call *ast.CallExpr) bool {
 	if !lintkit.NamedIs(lintkit.ReceiverType(info, call), "internal/shard", "Shard") {
 		return false

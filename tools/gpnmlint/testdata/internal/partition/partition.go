@@ -86,7 +86,8 @@ func (e *Engine) quarantine(i int) {
 	_ = e.shards[i].Close()
 }
 
-// Concrete *shard.Local receiver: exempt (in-process, no lost worker).
-func rebuildLocal(l *shard.Local) {
-	_ = l.Build(0)
+// Concrete *shard.RPC receiver: exempt (the seam is the interface the
+// engine's fleet table holds).
+func buildConcrete(r *shard.RPC) {
+	_ = r.Build(0)
 }

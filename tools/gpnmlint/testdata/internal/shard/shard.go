@@ -1,10 +1,10 @@
 // Package shard stubs the real shard package's surface: the Shard
-// interface faultseam guards, the RPC client and interface methods
-// lockguard treats as blocking, and a concrete Local faultseam exempts.
+// interface faultseam guards, and the RPC client and interface methods
+// lockguard treats as blocking. Calls on the concrete RPC type are
+// exempt from faultseam.
 package shard
 
 type Shard interface {
-	Remote() bool
 	Ping() error
 	Build(index int) error
 	Rows(n int) (int, error)
@@ -14,13 +14,4 @@ type Shard interface {
 type RPC struct{}
 
 func (r *RPC) Call(path string) error { return nil }
-
-type Local struct{}
-
-func (l *Local) Remote() bool          { return false }
-func (l *Local) Ping() error           { return nil }
-func (l *Local) Build(index int) error { return nil }
-func (l *Local) Rows(n int) (int, error) {
-	return n, nil
-}
-func (l *Local) Close() error { return nil }
+func (r *RPC) Build(index int) error  { return nil }

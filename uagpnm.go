@@ -140,16 +140,15 @@ type Options struct {
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
 	// Workers bounds the SLen substrate's internal worker pool. With
-	// Method UAGPNM the partition engine fans per-partition builds,
-	// batch affected-set computation and row prefetch across up
-	// to Workers goroutines (0 = all cores); 1 runs fully serial, which
+	// Method UAGPNM the partition engine fans batch affected-set
+	// computation and row prefetch across up to Workers goroutines (0 = all cores); 1 runs fully serial, which
 	// is how the baselines — UA-GPNM-NoPar included — are compared.
 	Workers int
-	// Shards, when non-empty, serves the UAGPNM partition engine's
-	// per-partition intra SLen state from remote gpnm-shard workers at
-	// these host:port addresses; the session process remains the
-	// coordinator (data graph, ball rows, caches). Empty = fully
-	// in-process.
+	// Shards, when non-empty, fans the UAGPNM partition engine's
+	// affected-ball phases across remote gpnm-shard workers at these
+	// host:port addresses, each holding a replica of the data graph fed
+	// by the op stream; the session process remains the coordinator
+	// (data graph, ball rows, caches). Empty = fully in-process.
 	Shards []string
 }
 
@@ -330,8 +329,8 @@ var ErrSubstrateLost = shard.ErrSubstrateLost
 
 // ErrSubstrateRecovering reports the transient sibling of
 // ErrSubstrateLost on the remote client: the server refused a mutating
-// request because it is mid-failover — rebuilding a lost shard
-// worker's partitions inside an in-flight batch — and the request
+// request because it is mid-failover — replacing a lost shard worker
+// inside an in-flight batch — and the request
 // would only have queued behind the repair. Retry after a short delay
 // and it will be served normally. Detect it with errors.Is; the
 // in-process Hub never returns it (its calls just wait out the
@@ -399,21 +398,21 @@ type HubOptions struct {
 	// Workers bounds the substrate pool and the per-pattern fan-out
 	// (0 = all cores, 1 = fully serial).
 	Workers int
-	// Shards, when non-empty, serves the partition engine's intra SLen
-	// state from remote gpnm-shard workers at these host:port
+	// Shards, when non-empty, fans the partition engine's affected-ball
+	// phases across remote gpnm-shard workers at these host:port
 	// addresses (see Options.Shards); the hub process remains the
 	// coordinator.
 	Shards []string
 	// SpareShards are standby gpnm-shard workers promoted when a
-	// serving worker is lost: the dead shard's partitions are rebuilt
-	// on the spare from the hub's own mirrors and the in-flight batch
-	// retries, invisibly to registered patterns except for
-	// HubBatchStats.Recovered. Without spares, surviving workers absorb
-	// the lost partitions instead.
+	// serving worker is lost: the spare takes the dead slot, is built
+	// from the hub's own data graph, and the in-flight batch retries,
+	// invisibly to registered patterns except for
+	// HubBatchStats.Recovered. Without spares, the surviving workers
+	// carry on alone (each already holds the whole graph).
 	SpareShards []string
 	// FailoverRetries bounds how many distinct shard losses each
-	// protected engine operation (a batch's substrate phases, a horizon
-	// widening, a health-sweep repair) may absorb
+	// protected engine operation (a batch's substrate phases, a build,
+	// a health-sweep repair) may absorb
 	// through failover before the hub gives up and poisons itself with
 	// ErrSubstrateLost (0 = the default of 1 per operation; negative =
 	// disable failover: every loss poisons immediately).
@@ -589,8 +588,8 @@ func (h *Hub) Err() error { return h.inner.Err() }
 
 // Status reports the sharded substrate's failover state without
 // blocking on in-flight batches: recovering is true while a lost shard
-// worker's partitions are being rebuilt on survivors or spares
-// (degraded, not dead), recovered counts the losses absorbed over the
+// worker is being quarantined and replaced by a spare (degraded, not
+// dead), recovered counts the losses absorbed over the
 // hub's lifetime. Both are zero for in-process substrates.
 func (h *Hub) Status() (recovering bool, recovered uint64) { return h.inner.Status() }
 
